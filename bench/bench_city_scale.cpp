@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "baselines/pid.hpp"
@@ -38,6 +39,8 @@
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/wallclock.hpp"
@@ -52,8 +55,10 @@ constexpr int kCells = 8;
 int fed_workers() {
   const char* w = std::getenv("DIMMER_FED_WORKERS");
   if (!w) return 1;
-  int v = std::atoi(w);
-  return v >= 1 ? v : 1;
+  const std::optional<int> v = util::parse_positive_int(w);
+  DIMMER_REQUIRE(v.has_value(),
+                 "DIMMER_FED_WORKERS must be an integer in [1, INT_MAX]");
+  return *v;
 }
 
 std::unique_ptr<core::AdaptivityController> cell_controller(

@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Scaling: every harness honours DIMMER_BENCH_SCALE (a float; default 1.0).
+// Scaling: every harness honours DIMMER_BENCH_SCALE (a positive number,
+// parsed strictly — "0.25x" is an error, not 0.25; default 1.0).
 // Values below 1 shrink run lengths / model counts proportionally for quick
 // smoke runs (e.g. DIMMER_BENCH_SCALE=0.25); values above 1 extend them
 // toward the paper's full durations.
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,14 +26,18 @@
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dimmer::bench {
 
 inline double scale() {
   const char* s = std::getenv("DIMMER_BENCH_SCALE");
   if (!s) return 1.0;
-  double v = std::atof(s);
-  return v > 0.0 ? v : 1.0;
+  const std::optional<double> v = util::parse_double(s);
+  DIMMER_REQUIRE(v.has_value() && *v > 0.0,
+                 "DIMMER_BENCH_SCALE must be a positive finite number");
+  return *v;
 }
 
 /// max(lo, round(x * scale)).

@@ -11,7 +11,6 @@
 #include <sys/prctl.h>
 #endif
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +26,7 @@
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/json_parse.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/wallclock.hpp"
 
@@ -52,14 +52,10 @@ void ensure_dir(const std::string& dir) {
 std::optional<long> env_count(const char* name) {
   const char* s = std::getenv(name);
   if (s == nullptr) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                      !std::isspace(static_cast<unsigned char>(*s));
-  DIMMER_REQUIRE(parsed, std::string(name) + " is not a valid integer");
-  DIMMER_REQUIRE(v >= 1, std::string(name) + " must be >= 1");
-  return v;
+  const std::optional<int> v = util::parse_positive_int(s);
+  DIMMER_REQUIRE(v.has_value(),
+                 std::string(name) + " must be an integer in [1, INT_MAX]");
+  return *v;
 }
 
 /// Newline count of a file (== its record count for our JSONL formats,

@@ -1,38 +1,27 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <thread>
 
 #include "exp/watchdog.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/wallclock.hpp"
 
 namespace dimmer::exp {
 
 int jobs_from_env() {
   if (const char* s = std::getenv("DIMMER_JOBS")) {
-    // Strict full-string parse. The old std::atoi silently accepted trailing
-    // garbage ("8x" -> 8), read "0x10" as 0 (a silent hardware-concurrency
-    // fallback), and is undefined on out-of-range input — all three now fail
-    // loudly so a mistyped override can't run a sweep at the wrong
-    // parallelism unnoticed.
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s, &end, 10);
-    // strtol itself skips leading whitespace; " 8" is still a typo here.
-    const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                        !std::isspace(static_cast<unsigned char>(*s));
-    DIMMER_REQUIRE(parsed, "DIMMER_JOBS is not a valid integer");
-    DIMMER_REQUIRE(v >= 1 && v <= std::numeric_limits<int>::max(),
-                   "DIMMER_JOBS out of range [1, INT_MAX]");
-    return static_cast<int>(v);
+    // Strict full-string parse (util/parse.hpp): "8x", "0x10", " 8" and
+    // out-of-range values fail loudly, so a mistyped override can't run a
+    // sweep at the wrong parallelism unnoticed.
+    const std::optional<int> v = util::parse_positive_int(s);
+    DIMMER_REQUIRE(v.has_value(),
+                   "DIMMER_JOBS must be an integer in [1, INT_MAX]");
+    return *v;
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
@@ -41,15 +30,10 @@ int jobs_from_env() {
 double trial_timeout_from_env() {
   const char* s = std::getenv("DIMMER_TRIAL_TIMEOUT_S");
   if (s == nullptr) return 0.0;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s, &end);
-  const bool parsed = end != s && *end == '\0' && errno != ERANGE &&
-                      !std::isspace(static_cast<unsigned char>(*s));
-  DIMMER_REQUIRE(parsed, "DIMMER_TRIAL_TIMEOUT_S is not a valid number");
-  DIMMER_REQUIRE(std::isfinite(v) && v > 0.0,
+  const std::optional<double> v = util::parse_double(s);
+  DIMMER_REQUIRE(v.has_value() && *v > 0.0,
                  "DIMMER_TRIAL_TIMEOUT_S must be a positive finite number");
-  return v;
+  return *v;
 }
 
 std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,

@@ -142,6 +142,18 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   phy::LinkMatrixView links{};
   if (sparse == nullptr) links = links_->prepare(params.tx_power_dbm);
 
+  // Interference through the engine's view of its field (DESIGN.md §10):
+  // the source->listener table is rebuilt only when the field changed, and
+  // only sources active somewhere in the hull of this flood's reception
+  // windows are evaluated per step. Counts feed the flood.interference.*
+  // work counters.
+  view_.bind(*interf_, topo);
+  std::uint64_t source_evals = view_.prefilter(
+      params.slot_start_us,
+      params.slot_start_us + (steps - 1) * step_len + airtime_us,
+      params.channel);
+  std::uint64_t interf_samples = 0;
+
   // Per-node dynamic state, in caller-owned scratch.
   const auto un = static_cast<std::size_t>(n);
   ws.state.assign(un, FloodWorkspace::NodeScratch{});
@@ -177,7 +189,6 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   // Observability accumulators; only touched when a sink is attached.
   const bool observed = instr_.active();
   double exposure_sum = 0.0;
-  std::uint64_t exposure_n = 0;
 
   // dimmer-lint: hot-path begin — the zero-allocation flood step loop; the
   // operator-new audit in tests/flood/test_workspace.cpp enforces the same
@@ -279,6 +290,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     //     rng.bernoulli(p) is exactly uniform() < p, so pre-drawing the
     //     uniform leaves the stream and the decisions bit-identical.
     int n_rx = 0;
+    bool interf_evaluated = false;  // activity is evaluated once per step
     for (phy::NodeId i = 0; i < n; ++i) {
       FloodWorkspace::NodeScratch& s = ws.state[static_cast<std::size_t>(i)];
       if (s.finished) continue;
@@ -303,12 +315,13 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       // Per-reception block fading at the listener.
       ws.rx_batch.fade_db[r] =
           fading_sigma > 0.0 ? rng.normal(0.0, fading_sigma) : 0.0;
-      phy::InterferenceSample interf =
-          interf_->sample(t0, t1, params.channel, i, topo);
-      if (observed) {
-        exposure_sum += interf.exposure;
-        ++exposure_n;
+      if (!interf_evaluated) {
+        source_evals += view_.evaluate(t0, t1);
+        interf_evaluated = true;
       }
+      const phy::InterferenceSample interf = view_.sample(i);
+      ++interf_samples;
+      if (observed) exposure_sum += interf.exposure;
       ws.rx_batch.interf_mw[r] = interf.power_mw;
       ws.rx_batch.jam_fraction[r] = interf.exposure;
       ws.rx_batch.uniform[r] = rng.uniform();  // the Bernoulli draw
@@ -362,12 +375,13 @@ void GlossyFlood::run_into(phy::NodeId initiator,
                           : params.slot_len_us;
   }
 
-  if (observed) record(out, params, exposure_sum, exposure_n);
+  if (observed)
+    record(out, params, exposure_sum, interf_samples, source_evals);
 }
 
 void GlossyFlood::record(const FloodResult& result, const FloodParams& params,
-                         double exposure_sum,
-                         std::uint64_t exposure_n) const {
+                         double exposure_sum, std::uint64_t interf_samples,
+                         std::uint64_t source_evals) const {
   // Single O(n) pass over the result; historically receiver_count() alone
   // was recomputed three times per recorded flood.
   const FloodResult::Summary sum = result.summarize();
@@ -375,8 +389,9 @@ void GlossyFlood::record(const FloodResult& result, const FloodParams& params,
       sum.participants == 0
           ? 1.0
           : static_cast<double>(sum.receivers) / sum.participants;
-  double mean_exposure =
-      exposure_n > 0 ? exposure_sum / static_cast<double>(exposure_n) : 0.0;
+  double mean_exposure = interf_samples > 0
+                             ? exposure_sum / static_cast<double>(interf_samples)
+                             : 0.0;
 
   if (instr_.metrics) {
     obs::MetricsRegistry& m = *instr_.metrics;
@@ -390,6 +405,8 @@ void GlossyFlood::record(const FloodResult& result, const FloodParams& params,
         .add(static_cast<double>(sum.radio_on_us));
     m.histogram("flood.exposure", {0.01, 0.05, 0.1, 0.25, 0.5, 0.75})
         .add(mean_exposure);
+    m.counter("flood.interference.samples") += interf_samples;
+    m.counter("flood.interference.source_evals") += source_evals;
   }
   if (instr_.trace) {
     obs::TraceEvent e;

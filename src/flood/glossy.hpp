@@ -17,10 +17,13 @@
 //
 // Hot path (DESIGN.md §10): link powers come from a phy::LinkModel — a
 // precomputed linear-domain (mW) matrix — rather than per-reception
-// dBm->mW conversions, and all per-flood scratch lives in a caller-owned
-// FloodWorkspace so `run_into` allocates nothing in steady state. Results
-// are bit-identical to the historical direct-Topology engine (asserted by
-// tests/flood/test_differential.cpp against a frozen reference copy).
+// dBm->mW conversions, interference comes from a phy::InterferenceView
+// (a cached source->listener table evaluated once per step, not one
+// InterferenceField::sample per listener), and all per-flood scratch lives
+// in a caller-owned FloodWorkspace so `run_into` allocates nothing in
+// steady state. Results are bit-identical to the historical direct-Topology
+// engine (asserted by tests/flood/test_differential.cpp against a frozen
+// reference copy).
 // Sparse backends (DESIGN.md §13): when the LinkModel offers a culled CSR
 // view (prepare_sparse), the step loop scatters per-transmitter rows and
 // skips unreachable listeners; with culling disabled this path is proven
@@ -118,11 +121,14 @@ struct [[nodiscard]] FloodResult {
 
 /// Flood simulator bound to a link model + interference field.
 ///
-/// The engine itself is stateless across floods except for the link-power
-/// cache inside its LinkModel, so a single engine instance is meant to live
-/// as long as its topology (lwb::RoundExecutor owns one for the whole
-/// simulation). Like a Pcg32, one engine must not run floods concurrently
-/// from multiple threads; independent trials own independent engines.
+/// The engine carries no result-affecting state across floods; it keeps two
+/// caches — the link-power cache inside its LinkModel and its
+/// phy::InterferenceView of the field (rebuilt whenever the field's
+/// version changes) — so a single engine instance is meant to live as long
+/// as its topology (lwb::RoundExecutor owns one for the whole simulation).
+/// Both caches are mutated by run_into, so like a Pcg32, one engine must not
+/// run floods concurrently from multiple threads; independent trials own
+/// independent engines.
 class GlossyFlood {
  public:
   /// Convenience: binds an internally-owned CachedLinkModel over `topo`.
@@ -161,14 +167,18 @@ class GlossyFlood {
   const phy::LinkModel& link_model() const { return *links_; }
 
  private:
+  /// Emits flood.* metrics and the trace event; `interf_samples` and
+  /// `source_evals` are the flood's listener samples and activity() calls.
   void record(const FloodResult& result, const FloodParams& params,
-              double exposure_sum, std::uint64_t exposure_n) const;
+              double exposure_sum, std::uint64_t interf_samples,
+              std::uint64_t source_evals) const;
 
   std::unique_ptr<phy::CachedLinkModel> owned_links_;  // only for the
                                                        // Topology convenience
                                                        // constructor
   phy::LinkModel* links_;
   const phy::InterferenceField* interf_;
+  mutable phy::InterferenceView view_;  // cache over *interf_, see run_into
   obs::Instrumentation instr_;
 };
 

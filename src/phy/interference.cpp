@@ -1,6 +1,7 @@
 #include "phy/interference.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -163,9 +164,40 @@ double AmbientInterferer::activity(sim::TimeUs t0, sim::TimeUs t1,
 
 // ---- InterferenceField -----------------------------------------------------
 
+namespace {
+/// Process-wide version source: every content change takes a fresh value,
+/// so no two live fields (nor one field before and after a change) share
+/// a non-zero version, whatever moves or re-constructions reuse addresses.
+std::uint64_t next_field_version() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
+InterferenceField::InterferenceField(InterferenceField&& other) noexcept
+    : sources_(std::move(other.sources_)), version_(other.version_) {
+  other.clear();
+}
+
+InterferenceField& InterferenceField::operator=(
+    InterferenceField&& other) noexcept {
+  if (this != &other) {
+    sources_ = std::move(other.sources_);
+    version_ = other.version_;
+    other.clear();
+  }
+  return *this;
+}
+
 void InterferenceField::add(std::unique_ptr<InterferenceSource> src) {
   DIMMER_REQUIRE(src != nullptr, "null interference source");
   sources_.push_back(std::move(src));
+  version_ = next_field_version();
+}
+
+void InterferenceField::clear() {
+  sources_.clear();
+  version_ = next_field_version();
 }
 
 InterferenceSample InterferenceField::sample(sim::TimeUs t0, sim::TimeUs t1,
@@ -182,6 +214,60 @@ InterferenceSample InterferenceField::sample(sim::TimeUs t0, sim::TimeUs t1,
     out.exposure = std::max(out.exposure, act);
   }
   return out;
+}
+
+// ---- InterferenceView ------------------------------------------------------
+
+void InterferenceView::bind(const InterferenceField& field,
+                            const Topology& topo) {
+  if (field_ == &field && topo_ == &topo && version_ == field.version())
+    return;
+  field_ = &field;
+  topo_ = &topo;
+  version_ = field.version();
+  n_sources_ = field.size();
+  const auto n = static_cast<std::size_t>(topo.size());
+  rx_mw_.resize(n * n_sources_);
+  for (std::size_t rx = 0; rx < n; ++rx) {
+    for (std::size_t s = 0; s < n_sources_; ++s) {
+      // The exact expression sample() evaluates per (source, listener).
+      const InterferenceSource& src = field.source(s);
+      const double rx_dbm =
+          src.tx_power_dbm() +
+          topo.gain_from_point_db(src.position(), static_cast<NodeId>(rx),
+                                  src.shadow_tag());
+      rx_mw_[rx * n_sources_ + s] = dbm_to_mw(rx_dbm);
+    }
+  }
+  candidates_.resize(n_sources_);
+  active_.resize(n_sources_);
+  n_candidates_ = 0;
+  n_active_ = 0;
+}
+
+std::size_t InterferenceView::prefilter(sim::TimeUs t0, sim::TimeUs t1,
+                                        Channel ch) {
+  channel_ = ch;
+  n_candidates_ = 0;
+  n_active_ = 0;
+  for (std::size_t s = 0; s < n_sources_; ++s) {
+    if (field_->source(s).activity(t0, t1, ch) <= 0.0) continue;
+    candidates_[n_candidates_++] = s;
+  }
+  return n_sources_;
+}
+
+std::size_t InterferenceView::evaluate(sim::TimeUs t0, sim::TimeUs t1) {
+  n_active_ = 0;
+  exposure_ = 0.0;
+  for (std::size_t k = 0; k < n_candidates_; ++k) {
+    const std::size_t s = candidates_[k];
+    const double act = field_->source(s).activity(t0, t1, channel_);
+    if (act <= 0.0) continue;
+    active_[n_active_++] = s;
+    exposure_ = std::max(exposure_, act);
+  }
+  return n_candidates_;
 }
 
 // ---- D-Cube profiles -------------------------------------------------------

@@ -152,18 +152,85 @@ struct InterferenceSample {
 class InterferenceField {
  public:
   InterferenceField() = default;
+  /// Moves take the sources and leave `other` empty under a new version().
+  InterferenceField(InterferenceField&& other) noexcept;
+  InterferenceField& operator=(InterferenceField&& other) noexcept;
 
   void add(std::unique_ptr<InterferenceSource> src);
   std::size_t size() const { return sources_.size(); }
   bool empty() const { return sources_.empty(); }
-  void clear() { sources_.clear(); }
+  void clear();
+
+  /// The i-th source, in add() order (the order sample() sums in).
+  const InterferenceSource& source(std::size_t i) const { return *sources_[i]; }
+
+  /// Content stamp for caches (InterferenceView): add(), clear() and moves
+  /// give the field a value no live field has held, so an unchanged
+  /// version means unchanged sources. 0 only ever marks an empty field.
+  std::uint64_t version() const { return version_; }
 
   /// Received interference at node `rx` for a packet spanning [t0,t1) on `ch`.
+  /// The definition every cached path (InterferenceView) must reproduce.
   InterferenceSample sample(sim::TimeUs t0, sim::TimeUs t1, Channel ch,
                             NodeId rx, const Topology& topo) const;
 
  private:
   std::vector<std::unique_ptr<InterferenceSource>> sources_;
+  std::uint64_t version_ = 0;
+};
+
+/// InterferenceField::sample for every listener of one flood, bit for bit,
+/// without its per-listener cost (DESIGN.md §10, "Interference view"):
+///  - the static source->listener power dbm_to_mw(tx + gain_from_point_db)
+///    is tabulated once per (field version, topology), listener-major;
+///  - prefilter() drops, once per flood, every source idle over the whole
+///    flood window (activity is an occupied-time measure, so idle over a
+///    window means idle over each of its sub-windows);
+///  - evaluate() calls activity() once per step for the remaining
+///    candidates, and sample(rx) then sums table entries over the active
+///    ones in ascending source order — the adds and maxes sample() makes.
+/// A view is mutable scratch: like the LinkModel cache beside it in
+/// flood::GlossyFlood, one view must not serve two threads at once.
+class InterferenceView {
+ public:
+  /// Rebuilds the table if `field` or `topo` is not the one last bound or
+  /// the field's version changed since; otherwise a no-op. Only a rebuild
+  /// allocates.
+  void bind(const InterferenceField& field, const Topology& topo);
+
+  /// Keeps as candidates the bound field's sources with activity > 0 over
+  /// [t0,t1) on `ch`, which must cover every window later passed to
+  /// evaluate(). Returns the activity() calls made.
+  std::size_t prefilter(sim::TimeUs t0, sim::TimeUs t1, Channel ch);
+
+  /// Evaluates each candidate's activity over the reception window [t0,t1)
+  /// on the prefiltered channel. Returns the activity() calls made.
+  std::size_t evaluate(sim::TimeUs t0, sim::TimeUs t1);
+
+  /// field.sample(t0, t1, ch, rx, topo) for the window last evaluated.
+  InterferenceSample sample(NodeId rx) const {
+    InterferenceSample out;
+    if (n_active_ == 0) return out;
+    const double* row = rx_mw_.data() + static_cast<std::size_t>(rx) * n_sources_;
+    for (std::size_t k = 0; k < n_active_; ++k) out.power_mw += row[active_[k]];
+    out.exposure = exposure_;
+    return out;
+  }
+
+ private:
+  const InterferenceField* field_ = nullptr;
+  const Topology* topo_ = nullptr;
+  std::uint64_t version_ = 0;
+  std::size_t n_sources_ = 0;
+  std::vector<double> rx_mw_;  ///< [listener * n_sources_ + source], mW
+  Channel channel_ = kControlChannel;
+  /// Source indices, ascending: candidates_[0, n_candidates_) pass the
+  /// flood prefilter, active_[0, n_active_) are active in the current step.
+  std::vector<std::size_t> candidates_;
+  std::vector<std::size_t> active_;
+  std::size_t n_candidates_ = 0;
+  std::size_t n_active_ = 0;
+  double exposure_ = 0.0;  ///< max activity over the active sources
 };
 
 /// D-Cube style controlled WiFi interference profiles (§V-E): level 1 is

@@ -1,8 +1,7 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
-
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dimmer::util {
 
@@ -38,19 +37,17 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
 long Cli::get_int(const std::string& key, long fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  long v = std::strtol(it->second.c_str(), &end, 10);
-  DIMMER_REQUIRE(end && *end == '\0', "flag --" + key + " is not an integer");
-  return v;
+  const std::optional<long> v = parse_int(it->second);
+  DIMMER_REQUIRE(v.has_value(), "flag --" + key + " is not an integer");
+  return *v;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  DIMMER_REQUIRE(end && *end == '\0', "flag --" + key + " is not a number");
-  return v;
+  const std::optional<double> v = parse_double(it->second);
+  DIMMER_REQUIRE(v.has_value(), "flag --" + key + " is not a finite number");
+  return *v;
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

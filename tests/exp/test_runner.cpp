@@ -129,8 +129,9 @@ TEST(Runner, JobsFromEnvRejectsMalformedValues) {
   // ("0x10" -> 0 -> silent hardware fallback), and was UB on out-of-range
   // input. Every malformed override must now fail loudly instead of running
   // a sweep at an unintended parallelism.
-  const char* bad[] = {"8x",      "0x10", "garbage", "",   " 8",
-                       "3.5",     "1e2",  "0",       "-2", "99999999999999999999"};
+  const char* bad[] = {"8x",  "0x10", "garbage", "",   " 8",
+                       "3.5", "1e2",  "0",       "-2", "99999999999999999999",
+                       "+3",  "0.25x"};
   for (const char* v : bad) {
     ASSERT_EQ(setenv("DIMMER_JOBS", v, 1), 0);
     EXPECT_THROW((void)jobs_from_env(), util::RequireError)

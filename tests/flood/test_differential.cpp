@@ -7,11 +7,15 @@
 // longer simulation embedding the flood would stay bit-identical too.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
+#include "obs/metrics.hpp"
+#include "phy/interference.hpp"
 #include "phy/topology.hpp"
 #include "reference_glossy.hpp"
 #include "util/rng.hpp"
@@ -200,6 +204,196 @@ TEST(FloodDifferential, RunIntoReusedBuffersMatchFreshRuns) {
     expect_identical(want, reused);
   }
   expect_same_rng_state(rng_ref, rng_new);
+}
+
+// ---- Interference view (DESIGN.md §10) ------------------------------------
+
+/// Runs `floods` through ONE engine and the reference from the same RNG
+/// state, flood by flood, and checks results and the final RNG state.
+void run_sequence(const phy::Topology& topo,
+                  const phy::InterferenceField& field,
+                  const std::vector<FloodParams>& floods, std::uint64_t seed) {
+  const int n = topo.size();
+  const auto cfgs = uniform_configs(n, 3);
+  GlossyFlood engine(topo, field);
+  FloodWorkspace ws;
+  FloodResult got;
+  util::Pcg32 rng_ref(seed), rng_new(seed);
+  for (std::size_t k = 0; k < floods.size(); ++k) {
+    SCOPED_TRACE("flood " + std::to_string(k));
+    const auto init =
+        static_cast<phy::NodeId>((k * 5) % static_cast<std::size_t>(n));
+    FloodResult want =
+        reference::run(topo, field, init, cfgs, floods[k], rng_ref);
+    engine.run_into(init, cfgs, floods[k], rng_new, ws, got);
+    expect_identical(want, got);
+  }
+  expect_same_rng_state(rng_ref, rng_new);
+}
+
+/// `count` floods spaced `spacing` apart from `start`, on `channel`.
+std::vector<FloodParams> flood_series(sim::TimeUs start, sim::TimeUs spacing,
+                                      int count,
+                                      phy::Channel channel = phy::kControlChannel) {
+  std::vector<FloodParams> out(static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    out[static_cast<std::size_t>(k)].slot_start_us = start + k * spacing;
+    out[static_cast<std::size_t>(k)].channel = channel;
+  }
+  return out;
+}
+
+TEST(FloodDifferential, TrainingScheduleField) {
+  // The DQN training field: 150+ scheduled JamLab sources plus ambient,
+  // the many-sources regime where the per-flood prefilter does its work.
+  phy::Topology topo = phy::make_office18_topology();
+  phy::InterferenceField field;
+  core::add_training_schedule(field, topo, sim::hours(10), 0x7A11ULL);
+  ASSERT_GE(field.size(), 150u);
+  // Floods every 7.3 s through the last hour of the schedule: calm and
+  // jammed segments, segment edges, day-time ambient.
+  run_sequence(topo, field, flood_series(sim::hours(9), sim::ms(7300), 480),
+               17);
+}
+
+TEST(FloodDifferential, DCubeWifiLevelTwoAcrossChannels) {
+  // Eight WiFi APs on three WiFi channels: candidate sets differ per
+  // 802.15.4 channel, and level 2's duty keeps most of them active.
+  phy::Topology topo = phy::make_dcube48_topology();
+  phy::InterferenceField field;
+  phy::add_dcube_wifi_level(field, topo, 2);
+  ASSERT_EQ(field.size(), 8u);
+  for (phy::Channel ch : {11, 15, 18, 22, 26}) {
+    SCOPED_TRACE("channel " + std::to_string(ch));
+    run_sequence(topo, field, flood_series(sim::seconds(3), sim::ms(37), 12, ch),
+                 static_cast<std::uint64_t>(ch));
+  }
+}
+
+TEST(FloodDifferential, RestrictedCellTopology) {
+  // A federation cell: local ids, parent-keyed interference shadowing.
+  phy::Topology parent = phy::make_dcube48_topology();
+  std::vector<phy::NodeId> members;
+  for (phy::NodeId i = 0; i < parent.size(); i += 2) members.push_back(i);
+  phy::Topology cell = parent.restricted(members);
+  phy::InterferenceField field;
+  core::add_office_ambient(field, parent);
+  core::add_static_jamming(field, parent, 0.3);
+  run_sequence(cell, field, flood_series(sim::hours(11), sim::ms(53), 24), 29);
+}
+
+TEST(FloodDifferential, FieldMutatedBetweenFloodsOnOneEngine) {
+  // The engine caches its view of the field; add() between two floods must
+  // invalidate it, so the second flood hears the new source.
+  phy::Topology topo = phy::make_office18_topology();
+  phy::InterferenceField field;
+  core::add_office_ambient(field, topo);
+  const auto cfgs = uniform_configs(topo.size(), 3);
+  GlossyFlood engine(topo, field);
+  FloodWorkspace ws;
+  FloodResult first, second;
+  util::Pcg32 rng_ref(41), rng_new(41);
+  FloodParams p;
+  p.slot_start_us = sim::hours(10);
+
+  FloodResult want = reference::run(topo, field, 0, cfgs, p, rng_ref);
+  engine.run_into(0, cfgs, p, rng_new, ws, first);
+  expect_identical(want, first);
+  ASSERT_GT(first.receiver_count(), 0);
+
+  // A loud, always-on jammer at the initiator on the flood channel blocks
+  // every reception.
+  auto jam = phy::BurstJammer::jamlab(topo.position(0), 1.0);
+  jam.tx_power_dbm = 30.0;
+  field.add(std::make_unique<phy::BurstJammer>(jam));
+  p.slot_start_us += sim::ms(40);
+  want = reference::run(topo, field, 0, cfgs, p, rng_ref);
+  engine.run_into(0, cfgs, p, rng_new, ws, second);
+  expect_identical(want, second);
+  EXPECT_EQ(second.receiver_count(), 0);
+  expect_same_rng_state(rng_ref, rng_new);
+}
+
+/// Forwards to a source owned elsewhere and counts activity() calls and the
+/// distinct window starts they were asked about.
+struct ActivityTally {
+  std::uint64_t calls = 0;
+  std::set<sim::TimeUs> window_starts;
+};
+
+class CountingSource : public phy::InterferenceSource {
+ public:
+  CountingSource(const phy::InterferenceSource& inner, ActivityTally& tally)
+      : inner_(inner), tally_(tally) {}
+  double activity(sim::TimeUs t0, sim::TimeUs t1,
+                  phy::Channel ch) const override {
+    ++tally_.calls;
+    tally_.window_starts.insert(t0);
+    return inner_.activity(t0, t1, ch);
+  }
+  phy::Vec2 position() const override { return inner_.position(); }
+  double tx_power_dbm() const override { return inner_.tx_power_dbm(); }
+  std::uint64_t shadow_tag() const override { return inner_.shadow_tag(); }
+
+ private:
+  const phy::InterferenceSource& inner_;
+  ActivityTally& tally_;
+};
+
+TEST(FloodInterferenceCounters, SamplesMatchReferenceAndEvaluationsAreHoisted) {
+  // The Fig. 4c/4d field: office ambient plus the dynamic jamming schedule.
+  phy::Topology topo = phy::make_office18_topology();
+  const sim::TimeUs origin = sim::hours(9);
+  phy::InterferenceField scenario;
+  core::add_office_ambient(scenario, topo);
+  core::add_dynamic_jamming(scenario, topo, phy::kControlChannel, origin);
+  const std::uint64_t n_sources = scenario.size();
+  ActivityTally tally;
+  phy::InterferenceField field;
+  for (std::size_t s = 0; s < scenario.size(); ++s)
+    field.add(std::make_unique<CountingSource>(scenario.source(s), tally));
+
+  const auto cfgs = uniform_configs(topo.size(), 3);
+  GlossyFlood engine(topo, field);
+  obs::MetricsRegistry metrics;
+  engine.set_instrumentation({nullptr, &metrics});
+  FloodWorkspace ws;
+  FloodResult got;
+  util::Pcg32 rng_ref(5), rng_new(5);
+  std::uint64_t ref_evals = 0, engine_evals = 0;
+  // Floods across the 27-minute timeline, through both jamming phases.
+  for (const FloodParams& p : flood_series(origin, sim::ms(4050), 400)) {
+    SCOPED_TRACE("slot " + std::to_string(p.slot_start_us));
+    tally = ActivityTally{};
+    FloodResult want = reference::run(topo, field, 0, cfgs, p, rng_ref);
+    // The reference calls field.sample once per listener sample, and
+    // sample() evaluates every source.
+    ASSERT_EQ(tally.calls % n_sources, 0u);
+    const std::uint64_t ref_samples = tally.calls / n_sources;
+    const std::uint64_t steps_sampled = tally.window_starts.size();
+    ref_evals += tally.calls;
+
+    tally = ActivityTally{};
+    const std::uint64_t samples_before =
+        metrics.counter("flood.interference.samples");
+    const std::uint64_t evals_before =
+        metrics.counter("flood.interference.source_evals");
+    engine.run_into(0, cfgs, p, rng_new, ws, got);
+    expect_identical(want, got);
+    const std::uint64_t samples =
+        metrics.counter("flood.interference.samples") - samples_before;
+    const std::uint64_t evals =
+        metrics.counter("flood.interference.source_evals") - evals_before;
+    EXPECT_EQ(samples, ref_samples);
+    EXPECT_EQ(evals, tally.calls);  // the counter counts every call
+    // One prefilter pass plus at most one pass per sampling step: the
+    // count no longer scales with the number of listeners.
+    EXPECT_LE(evals, n_sources * (steps_sampled + 1));
+    engine_evals += evals;
+  }
+  expect_same_rng_state(rng_ref, rng_new);
+  EXPECT_EQ(metrics.counter("flood.runs"), 400u);
+  EXPECT_LT(engine_evals * 5, ref_evals);
 }
 
 }  // namespace

@@ -76,6 +76,36 @@ TEST(FloodWorkspaceAlloc, RunIntoIsAllocationFreeAfterWarmup) {
   EXPECT_TRUE(result.nodes.size() == 18u);
 }
 
+TEST(FloodWorkspaceAlloc, ManySourceFieldIsAllocationFreeAfterWarmup) {
+  // The DQN training field (150+ sources): the warm-up flood builds the
+  // engine's interference view; the per-flood prefilter and per-step
+  // evaluation then reuse its storage.
+  phy::Topology topo = phy::make_office18_topology();
+  phy::InterferenceField field;
+  core::add_training_schedule(field, topo, sim::hours(10), 0x7A11ULL);
+  ASSERT_GE(field.size(), 150u);
+  GlossyFlood engine(topo, field);
+  std::vector<NodeFloodConfig> cfgs(18, NodeFloodConfig{3, true});
+
+  FloodWorkspace ws;
+  FloodResult result;
+  util::Pcg32 rng(19);
+
+  FloodParams params;
+  params.slot_start_us = sim::hours(9);
+  engine.run_into(0, cfgs, params, rng, ws, result);
+
+  const long before = g_allocs.load(std::memory_order_relaxed);
+  for (int k = 0; k < 50; ++k) {
+    params.slot_start_us = sim::hours(9) + k * sim::seconds(20);
+    engine.run_into(k % 18, cfgs, params, rng, ws, result);
+  }
+  const long after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "steady-state floods under a 150-source field must not allocate (got "
+      << (after - before) << " allocations over 50 floods)";
+}
+
 TEST(FloodWorkspaceAlloc, SparseEngineRunIntoIsAllocationFreeAfterWarmup) {
   // The sparse scatter path has its own steady state: the warm-up flood
   // builds the CSR (and sizes the workspace); after that, repeated floods at

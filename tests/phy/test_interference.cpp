@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "phy/interference.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::phy {
 namespace {
@@ -181,6 +184,198 @@ TEST(DCubeProfiles, InvalidLevelThrows) {
   InterferenceField f;
   EXPECT_THROW(add_dcube_wifi_level(f, t, 0), util::RequireError);
   EXPECT_THROW(add_dcube_wifi_level(f, t, 3), util::RequireError);
+}
+
+// ---- Prefilter premise and InterferenceView ------------------------------
+
+/// Uniform time in [lo, hi).
+sim::TimeUs uniform_time(util::Pcg32& rng, sim::TimeUs lo, sim::TimeUs hi) {
+  return lo + static_cast<sim::TimeUs>(rng.uniform() *
+                                       static_cast<double>(hi - lo));
+}
+
+/// One source of each family with seeded, randomised parameters.
+std::unique_ptr<InterferenceSource> random_source(util::Pcg32& rng,
+                                                  int family) {
+  const Channel ch = static_cast<Channel>(rng.uniform_int(kFirstChannel,
+                                                          kLastChannel));
+  if (family == 0) {
+    BurstJammer::Config cfg;
+    cfg.burst_us = sim::ms(rng.uniform_int(1, 20));
+    cfg.period_us = cfg.burst_us + sim::ms(rng.uniform_int(0, 200));
+    cfg.phase_us = uniform_time(rng, -sim::ms(300), sim::ms(300));
+    cfg.start_us = uniform_time(rng, 0, sim::seconds(2));
+    cfg.stop_us = rng.bernoulli(0.5)
+                      ? -1
+                      : cfg.start_us + uniform_time(rng, 1, sim::seconds(2));
+    cfg.channels = {ch};
+    return std::make_unique<BurstJammer>(cfg);
+  }
+  if (family == 1) {
+    WifiInterferer::Config cfg;
+    cfg.wifi_channel = rng.uniform_int(1, 13);
+    cfg.duty = rng.uniform(0.0, 0.5);
+    cfg.frame_us = sim::ms(rng.uniform_int(5, 100));
+    cfg.start_us = uniform_time(rng, 0, sim::seconds(2));
+    cfg.stop_us = rng.bernoulli(0.5)
+                      ? -1
+                      : cfg.start_us + uniform_time(rng, 1, sim::seconds(2));
+    cfg.seed = rng.next_u64();
+    return std::make_unique<WifiInterferer>(cfg);
+  }
+  AmbientInterferer::Config cfg;
+  cfg.day_duty = rng.uniform(0.0, 0.08);
+  cfg.night_duty = rng.uniform(0.0, 0.01);
+  cfg.frame_us = sim::ms(rng.uniform_int(10, 100));
+  cfg.seed = rng.next_u64();
+  return std::make_unique<AmbientInterferer>(cfg);
+}
+
+TEST(InterferenceActivity, IdleWindowMeansIdleSubWindows) {
+  // The premise of InterferenceView::prefilter: activity is an
+  // occupied-time measure, so a window a source never occupies has no
+  // occupied sub-window. Swept over all three source families, with
+  // windows across day and night and across scenario start/stop edges.
+  util::Pcg32 rng(0x5EEDULL);
+  int idle_windows[3] = {0, 0, 0};
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int family = trial % 3;
+    auto src = random_source(rng, family);
+    const sim::TimeUs day_offset = rng.bernoulli(0.5) ? sim::hours(12) : 0;
+    const sim::TimeUs w0 =
+        family == 2 ? day_offset + uniform_time(rng, 0, sim::seconds(3))
+                    : uniform_time(rng, 0, sim::seconds(3));
+    const sim::TimeUs w1 = w0 + uniform_time(rng, 1, sim::ms(60));
+    for (Channel ch : {static_cast<Channel>(rng.uniform_int(kFirstChannel,
+                                                            kLastChannel)),
+                       kControlChannel}) {
+      if (src->activity(w0, w1, ch) != 0.0) continue;
+      ++idle_windows[family];
+      for (int k = 0; k < 8; ++k) {
+        sim::TimeUs a = uniform_time(rng, w0, w1);
+        sim::TimeUs b = uniform_time(rng, w0, w1);
+        if (a > b) std::swap(a, b);
+        ++b;  // non-empty, still inside [w0, w1)
+        ASSERT_EQ(src->activity(a, b, ch), 0.0)
+            << "family " << family << " window [" << w0 << ", " << w1
+            << ") sub [" << a << ", " << b << ") channel " << ch;
+      }
+    }
+  }
+  // The sweep must actually exercise the premise for every family.
+  for (int family = 0; family < 3; ++family)
+    EXPECT_GT(idle_windows[family], 100) << "family " << family;
+}
+
+TEST(InterferenceField, VersionChangesOnEveryMutation) {
+  InterferenceField a;
+  EXPECT_EQ(a.version(), 0u);
+  a.add(std::make_unique<BurstJammer>(basic_jammer()));
+  const std::uint64_t v1 = a.version();
+  EXPECT_NE(v1, 0u);
+  a.add(std::make_unique<BurstJammer>(basic_jammer()));
+  const std::uint64_t v2 = a.version();
+  EXPECT_NE(v2, v1);
+  a.clear();
+  EXPECT_NE(a.version(), v2);
+  EXPECT_TRUE(a.empty());
+
+  // Moves carry the version with the sources; the moved-from field is
+  // left empty under a fresh one, so no two fields ever share a version.
+  a.add(std::make_unique<BurstJammer>(basic_jammer()));
+  const std::uint64_t va = a.version();
+  InterferenceField b(std::move(a));
+  EXPECT_EQ(b.version(), va);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_TRUE(a.empty());
+  EXPECT_NE(a.version(), va);
+  InterferenceField c;
+  c.add(std::make_unique<BurstJammer>(basic_jammer()));
+  c = std::move(b);
+  EXPECT_EQ(c.version(), va);
+  EXPECT_NE(b.version(), va);
+}
+
+/// Exact (bitwise) equality of two samples.
+void expect_same_sample(const InterferenceSample& want,
+                        const InterferenceSample& got) {
+  EXPECT_EQ(want.power_mw, got.power_mw);
+  EXPECT_EQ(want.exposure, got.exposure);
+}
+
+/// Drives `view` as GlossyFlood does — one prefilter per flood window, one
+/// evaluate per step — and checks every listener against field.sample.
+/// Returns how many samples saw interference, so callers can rule out a
+/// vacuous pass.
+int expect_view_matches_field(InterferenceView& view,
+                               const InterferenceField& field,
+                               const Topology& topo, util::Pcg32& rng,
+                               int floods) {
+  view.bind(field, topo);
+  int jammed = 0;
+  const sim::TimeUs airtime = 1200, step = 1500;
+  for (int f = 0; f < floods; ++f) {
+    const sim::TimeUs start =
+        sim::hours(9) + uniform_time(rng, 0, sim::minutes(30));
+    const int steps = rng.uniform_int(1, 16);
+    const Channel ch =
+        static_cast<Channel>(rng.uniform_int(kFirstChannel, kLastChannel));
+    EXPECT_EQ(view.prefilter(start, start + (steps - 1) * step + airtime, ch),
+              field.size());
+    for (int t = 0; t < steps; ++t) {
+      const sim::TimeUs t0 = start + t * step;
+      EXPECT_LE(view.evaluate(t0, t0 + airtime), field.size());
+      for (NodeId rx = 0; rx < topo.size(); ++rx) {
+        SCOPED_TRACE("flood " + std::to_string(f) + " step " +
+                     std::to_string(t) + " rx " + std::to_string(rx));
+        const InterferenceSample want =
+            field.sample(t0, t0 + airtime, ch, rx, topo);
+        expect_same_sample(want, view.sample(rx));
+        if (want.power_mw > 0.0) ++jammed;
+      }
+    }
+  }
+  return jammed;
+}
+
+TEST(InterferenceView, MatchesFieldSampleBitForBit) {
+  Topology topo = make_dcube48_topology();
+  InterferenceField field;
+  add_dcube_wifi_level(field, topo, 2);
+  util::Pcg32 rng(0xF1E1DULL);
+  for (int i = 0; i < 30; ++i) field.add(random_source(rng, i % 3));
+  InterferenceView view;
+  EXPECT_GT(expect_view_matches_field(view, field, topo, rng, 40), 1000);
+}
+
+TEST(InterferenceView, RestrictedTopologyKeysOnParentIds) {
+  // A cell-local view must hear what the parent's nodes hear: the table
+  // goes through gain_from_point_db, which keys shadowing on parent ids.
+  Topology parent = make_dcube48_topology();
+  Topology cell = parent.restricted({3, 7, 8, 20, 21, 22, 40, 47});
+  InterferenceField field;
+  add_dcube_wifi_level(field, parent, 1);
+  util::Pcg32 rng(0xCE11ULL);
+  InterferenceView view;
+  EXPECT_GT(expect_view_matches_field(view, field, cell, rng, 40), 100);
+}
+
+TEST(InterferenceView, RebuildsWhenFieldOrTopologyChanges) {
+  Topology office = make_office18_topology();
+  Topology line = make_line_topology(6, 12.0);
+  InterferenceField field;
+  util::Pcg32 rng(0xB1DULL);
+  InterferenceView view;
+  EXPECT_EQ(expect_view_matches_field(view, field, office, rng, 4), 0);
+  int jammed = 0;
+  for (int i = 0; i < 6; ++i) {
+    field.add(random_source(rng, i % 3));
+    jammed += expect_view_matches_field(view, field, office, rng, 4);
+  }
+  jammed += expect_view_matches_field(view, field, line, rng, 4);
+  EXPECT_GT(jammed, 0);
+  field.clear();
+  EXPECT_EQ(expect_view_matches_field(view, field, line, rng, 4), 0);
 }
 
 }  // namespace

@@ -593,5 +593,12 @@ TEST(LintCli, SeededTransitiveViolationExitsOneNamingTheChain) {
                 "> /dev/null 2>&1"),
             0);
   EXPECT_EQ(run("--baseline accepted.txt src > /dev/null 2>&1"), 0);
+  // --jobs is parsed strictly: usage error (exit 2), never a truncated or
+  // defaulted worker count.
+  for (const char* bad : {"4x", "+3", "0", "-1", "' 8'", "''",
+                          "99999999999999999999"})
+    EXPECT_EQ(run(std::string("--jobs ") + bad + " src > /dev/null 2>&1"), 2)
+        << bad;
+  EXPECT_EQ(run("--baseline accepted.txt --jobs 3 src > /dev/null 2>&1"), 0);
   fs::remove_all(root);
 }

@@ -110,6 +110,22 @@ TEST(Cli, MalformedNumbersThrow) {
   EXPECT_THROW(cli.get_double("f", 0.0), RequireError);
 }
 
+TEST(Cli, NumbersAreParsedStrictly) {
+  // Leading whitespace, '+' signs, trailing garbage and out-of-range values
+  // used to slip through strtol/strtod.
+  const char* argv[] = {"prog",       "--a= 8",    "--b=+3",
+                        "--c=4x",     "--d=99999999999999999999",
+                        "--e=0.25x",  "--f= 0.5",  "--g=1e999",
+                        "--h=-12",    "--i=2.5e-1"};
+  Cli cli(10, argv);
+  for (const char* key : {"a", "b", "c", "d"})
+    EXPECT_THROW(cli.get_int(key, 0), RequireError) << key;
+  for (const char* key : {"e", "f", "g"})
+    EXPECT_THROW(cli.get_double(key, 0.0), RequireError) << key;
+  EXPECT_EQ(cli.get_int("h", 0), -12);
+  EXPECT_EQ(cli.get_double("i", 0.0), 0.25);
+}
+
 TEST(Cli, BooleanVariants) {
   const char* argv[] = {"prog", "--a=true", "--b=0", "--c=yes", "--d=off"};
   Cli cli(5, argv);

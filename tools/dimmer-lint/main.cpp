@@ -36,12 +36,14 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "index.hpp"
 #include "lint.hpp"
+#include "util/parse.hpp"
 
 namespace fs = std::filesystem;
 using dimmer::lint::FileIndex;
@@ -134,15 +136,12 @@ int main(int argc, char** argv) {
     else if (a == "--index-cache")
       index_cache_path = next();
     else if (a == "--jobs") {
-      try {
-        jobs = std::stoi(next());
-      } catch (const std::exception&) {
-        jobs = 0;
-      }
-      if (jobs < 1) {
+      const std::optional<int> v = dimmer::util::parse_positive_int(next());
+      if (!v) {
         std::cerr << "dimmer-lint: --jobs needs a positive integer\n";
         return 2;
       }
+      jobs = *v;
     } else if (a == "--update-baseline")
       update_baseline = true;
     else if (a == "--write-baseline")
