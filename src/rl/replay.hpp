@@ -1,6 +1,7 @@
 // Experience replay buffer for the DQN (uniform sampling, ring eviction).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -21,15 +22,21 @@ struct Transition {
   double discount = -1.0;
 };
 
+/// Storage grows with the content, doubling up to `capacity`: most agents
+/// see far fewer transitions than the default capacity, and reserving it
+/// up front (50 000 x sizeof(Transition), 4 MB) inflated every short
+/// training run's heap.
 class ReplayBuffer {
  public:
   explicit ReplayBuffer(std::size_t capacity) : cap_(capacity) {
     DIMMER_REQUIRE(capacity > 0, "replay capacity must be positive");
-    buf_.reserve(capacity);
   }
 
   void push(Transition t) {
     if (buf_.size() < cap_) {
+      if (buf_.size() == buf_.capacity())
+        buf_.reserve(std::min(cap_, std::max<std::size_t>(
+                                        kInitialReserve, 2 * buf_.size())));
       buf_.push_back(std::move(t));
     } else {
       buf_[head_] = std::move(t);
@@ -39,6 +46,8 @@ class ReplayBuffer {
 
   std::size_t size() const { return buf_.size(); }
   std::size_t capacity() const { return cap_; }
+  /// Transitions the storage holds room for; never more than capacity().
+  std::size_t reserved() const { return buf_.capacity(); }
   bool empty() const { return buf_.empty(); }
 
   const Transition& at(std::size_t i) const {
@@ -57,6 +66,8 @@ class ReplayBuffer {
   }
 
  private:
+  static constexpr std::size_t kInitialReserve = 64;
+
   std::size_t cap_;
   std::vector<Transition> buf_;
   std::size_t head_ = 0;

@@ -33,6 +33,24 @@ TEST(ReplayBuffer, RingEviction) {
   EXPECT_EQ(first_elems, (std::vector<double>{2.0, 3.0, 4.0}));
 }
 
+TEST(ReplayBuffer, StorageGrowsWithContentUpToCapacity) {
+  ReplayBuffer buf(100);
+  EXPECT_EQ(buf.reserved(), 0u);
+  buf.push(Transition{});
+  EXPECT_LE(buf.reserved(), 64u);
+  for (int i = 1; i < 250; ++i)
+    buf.push(Transition{{static_cast<double>(i)}, 0, 0.0, {0.0}, false, -1.0});
+  EXPECT_EQ(buf.size(), 100u);
+  EXPECT_EQ(buf.reserved(), 100u);
+  // The ring keeps the newest 100 across the growth steps: 150..249.
+  std::vector<double> kept;
+  for (std::size_t i = 0; i < buf.size(); ++i)
+    kept.push_back(buf.at(i).state[0]);
+  std::sort(kept.begin(), kept.end());
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    EXPECT_EQ(kept[i], 150.0 + static_cast<double>(i));
+}
+
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
   ReplayBuffer buf(4);
   util::Pcg32 rng(1);
