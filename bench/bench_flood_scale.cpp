@@ -1,18 +1,20 @@
-// Flood scaling benchmark: sparse (culled CSR) vs dense link backends on
-// 1000+-node campus topologies.
+// Flood scaling benchmark: culled vs unculled link rows on 1000+-node
+// campus topologies.
 //
-// For each size the harness builds a make_campus_topology(n) deployment and
-// times cycling-initiator floods through (a) GlossyFlood over the default
-// CachedLinkModel (dense N^2 matrix, every listener swept every step) and
-// (b) GlossyFlood over SparseLinkModel with the default 20 dB culling margin
-// (CSR scatter + zero-power listener skip). The sparse leg runs on a
+// For each size the harness times cycling-initiator floods through (a)
+// GlossyFlood over SparseLinkModel with the default 20 dB culling margin
+// (CSR scatter + zero-power listener skip) and (b) the "dense" leg:
+// GlossyFlood over the default CachedLinkModel on make_campus_topology(n),
+// i.e. unculled CSR rows holding all N^2 links, which the engine sweeps as
+// a row-major matrix, every listener every step. The sparse leg runs on a
 // construction-culled Topology (make_campus_topology_culled with the
 // matching gain floor), so neither the topology nor the link model ever
-// materializes an 8*N^2 matrix. It reports ns/step, floods/sec and delivery
-// ratio for both, plus the storage story at both layers: link-model nnz/CSR
-// bytes and topology gain nnz/bytes against the dense 8*N^2. The dense leg
-// is skipped above kDenseMaxNodes — holding (and sweeping) the full matrix
-// at 4096 nodes is exactly the cost the sparse backend exists to avoid.
+// holds N^2 entries. It reports the sparse leg's construction time (topology
+// build and link build), ns/step, floods/sec and delivery ratio for both
+// legs, plus the storage story at both layers: link-model nnz/CSR bytes and
+// topology gain nnz/bytes against a dense 8*N^2 matrix. The dense leg is
+// skipped above kDenseMaxNodes — holding (and sweeping) every link at 4096
+// nodes is exactly the cost culling exists to avoid.
 //
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
@@ -28,7 +30,6 @@
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
 #include "phy/link_model.hpp"
-#include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -39,8 +40,8 @@ using namespace dimmer;
 
 namespace {
 
-/// Largest size the dense comparison leg still runs at (8*N^2 = 32 MiB of
-/// matrix; beyond this the dense engine is measured as absent, not slow).
+/// Largest size the dense comparison leg still runs at (N^2 = 4M stored
+/// links per layer; beyond this the leg is measured as absent, not slow).
 constexpr int kDenseMaxNodes = 2048;
 
 struct Timing {
@@ -102,23 +103,29 @@ int main() {
   const std::uint64_t seed = 2026;
 
   std::printf("simd backend: %s\n\n", util::simd::backend_name());
-  std::printf("%-6s %10s %12s %12s %12s %10s %10s %8s %9s %9s\n", "nodes",
-              "nnz", "sparse B", "topo B", "dense B", "sp ns/st", "dn ns/st",
-              "speedup", "sp deliv", "dn deliv");
+  std::printf("%-6s %9s %9s %10s %12s %12s %12s %10s %10s %8s %9s %9s\n",
+              "nodes", "topo s", "link s", "nnz", "sparse B", "topo B",
+              "dense B", "sp ns/st", "dn ns/st", "speedup", "sp deliv",
+              "dn deliv");
 
   std::string rows;
   bool ok = true;
   for (int n : sizes) {
     // Construction-culled topology with the floor matching the link model's
     // default 20 dB margin at 0 dBm TX: surviving gains are bit-identical to
-    // make_campus_topology(n), and the dense gain matrix is never built.
+    // make_campus_topology(n), and no N^2 gain set is ever built.
     const double gain_floor =
         phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0);
+    const util::Stopwatch topo_clock;
     phy::Topology topo =
         phy::make_campus_topology_culled(n, 1, gain_floor);
+    const double topo_build_s = topo_clock.seconds();
     phy::InterferenceField field;  // clean band: pure engine scaling
 
     phy::SparseLinkModel sparse_links(topo);  // default 20 dB margin
+    const util::Stopwatch link_clock;
+    (void)sparse_links.prepare_sparse(params_for(0).tx_power_dbm);
+    const double link_build_s = link_clock.seconds();
     flood::GlossyFlood sparse_engine(sparse_links, field);
     Timing sp = time_engine(sparse_engine, n, floods, seed);
 
@@ -136,8 +143,10 @@ int main() {
         run_dense && sp.ns_per_step() > 0.0
             ? dn.ns_per_step() / sp.ns_per_step()
             : 0.0;
-    std::printf("%-6d %10zu %12zu %12zu %12zu %10.1f %10s %7s %9.3f %9s\n", n,
-                sparse_links.nnz(), sparse_links.storage_bytes(),
+    std::printf("%-6d %9.3f %9.3f %10zu %12zu %12zu %12zu %10.1f %10s %7s "
+                "%9.3f %9s\n",
+                n, topo_build_s, link_build_s, sparse_links.nnz(),
+                sparse_links.storage_bytes(),
                 topo.gain_storage_bytes(), dense_bytes, sp.ns_per_step(),
                 run_dense ? std::to_string(static_cast<long long>(
                                 dn.ns_per_step()))
@@ -174,6 +183,8 @@ int main() {
     if (!rows.empty()) rows += ",";
     rows += "{\"nodes\": " + std::to_string(n) +
             ", \"floods\": " + std::to_string(floods) +
+            ", \"topo_build_s\": " + util::json_number(topo_build_s) +
+            ", \"link_build_s\": " + util::json_number(link_build_s) +
             ", \"nnz\": " + std::to_string(sparse_links.nnz()) +
             ", \"sparse_bytes\": " +
             std::to_string(sparse_links.storage_bytes()) +

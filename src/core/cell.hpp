@@ -31,7 +31,7 @@
 
 #include "core/protocol.hpp"
 #include "lwb/scheduler.hpp"
-#include "phy/sparse_link_model.hpp"
+#include "phy/link_model.hpp"
 
 namespace dimmer::core {
 

@@ -129,18 +129,16 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       static_cast<sim::TimeUs>(std::llround(radio.airtime_us(params.payload_bytes)));
   const double coherence_gain = params.coherence_gain;
 
-  // Linear-domain link powers for this flood's TX power; cached across
-  // floods by the LinkModel (recomputed only when the power changes).
-  // Sparse backends (culled CSR rows, DESIGN.md §13) are probed first: the
-  // step loop then scatters per-transmitter rows instead of sweeping dense
-  // ones and skips listeners no surviving link reaches. With culling
-  // disabled every link survives, both deviations are no-ops, and the
-  // engine is bit-identical to the dense path — FloodResult and RNG
-  // end-state (tests/flood/test_sparse_differential.cpp).
-  const phy::SparseLinkView* sparse =
-      links_->prepare_sparse(params.tx_power_dbm);
-  phy::LinkMatrixView links{};
-  if (sparse == nullptr) links = links_->prepare(params.tx_power_dbm);
+  // Linear-domain link powers for this flood's TX power: one LinkModel
+  // call per flood, cached across floods by the model (recomputed only when
+  // the power changes). With full rows (nnz == n^2) `mw` is the row-major
+  // n x n matrix and step 3a sweeps contiguous rows; otherwise it scatters
+  // each transmitter's CSR row (DESIGN.md §13). Both visit every listener's
+  // transmitters in the same ascending order, so the layout never changes a
+  // result bit (tests/flood/test_sparse_differential.cpp).
+  const phy::SparseLinkView& links =
+      *links_->prepare_sparse(params.tx_power_dbm);
+  const bool full_rows = links.full_rows();
 
   // Interference through the engine's view of its field (DESIGN.md §10):
   // the source->listener table is rebuilt only when the field changed, and
@@ -227,35 +225,19 @@ void GlossyFlood::run_into(phy::NodeId initiator,
     const sim::TimeUs t0 = params.slot_start_us + t * step_len;
     const sim::TimeUs t1 = t0 + airtime_us;
 
-    // 3a. Concurrent powers at every node: one contiguous matrix-row sweep
-    //     per transmitter. Per-listener accumulation visits transmitters in
-    //     the same ascending order as the historical per-listener loop, so
-    //     the floating-point sums are bit-identical.
+    // 3a. Concurrent powers at every node: one pass over each
+    //     transmitter's row (a contiguous sweep with full rows, a scatter
+    //     otherwise). Per-listener accumulation visits transmitters in the
+    //     same ascending order as the historical per-listener loop, so the
+    //     floating-point sums are bit-identical.
     if (any_tx) {
       std::fill(ws.total_mw.begin(), ws.total_mw.end(), 0.0);
       std::fill(ws.strongest_mw.begin(), ws.strongest_mw.end(), 0.0);
-      if (sparse != nullptr) {
-        // Sparse scatter: each transmitter's CSR row holds only surviving
-        // links, listeners ascending. Transmitters are visited in the same
-        // ascending order as the dense sweep, so every listener accumulates
-        // its surviving transmitters with the exact adds/maxes the dense
-        // loop would perform — culled links are the only difference.
-        double* total = ws.total_mw.data();
-        double* strongest = ws.strongest_mw.data();
+      double* total = ws.total_mw.data();
+      double* strongest = ws.strongest_mw.data();
+      if (full_rows) {
         for (phy::NodeId tx : ws.transmitters) {
-          const std::size_t row_end = sparse->row_end(tx);
-          for (std::size_t k = sparse->row_begin(tx); k < row_end; ++k) {
-            const double p_mw = sparse->mw[k];
-            const auto rx = static_cast<std::size_t>(sparse->col[k]);
-            total[rx] += p_mw;
-            strongest[rx] = std::max(strongest[rx], p_mw);
-          }
-        }
-      } else {
-        for (phy::NodeId tx : ws.transmitters) {
-          const double* row = links.row(tx);
-          double* total = ws.total_mw.data();
-          double* strongest = ws.strongest_mw.data();
+          const double* row = links.mw + static_cast<std::size_t>(tx) * un;
           // Lanewise add/max over the contiguous row, transmitters in the
           // same ascending order as the historical per-listener loop: exact
           // IEEE ops with no cross-lane reduction, so this site is
@@ -278,6 +260,21 @@ void GlossyFlood::run_into(phy::NodeId initiator,
             strongest[i] = std::max(strongest[i], p_mw);
           }
         }
+      } else {
+        // Scatter: each transmitter's CSR row holds only its stored links,
+        // listeners ascending. Transmitters are visited in the same
+        // ascending order as the sweep, so every listener accumulates its
+        // linked transmitters with the exact adds/maxes the sweep would
+        // perform — absent links are the only difference.
+        for (phy::NodeId tx : ws.transmitters) {
+          const std::size_t row_end = links.row_end(tx);
+          for (std::size_t k = links.row_begin(tx); k < row_end; ++k) {
+            const double p_mw = links.mw[k];
+            const auto rx = static_cast<std::size_t>(links.col[k]);
+            total[rx] += p_mw;
+            strongest[rx] = std::max(strongest[rx], p_mw);
+          }
+        }
       }
     }
 
@@ -297,16 +294,14 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       s.radio_on += step_len;  // TX or RX, the radio is on this step
       if (ws.is_tx[static_cast<std::size_t>(i)] || !any_tx) continue;
       if (s.has_packet) continue;  // re-receptions only maintain sync
-      // Sparse backends: a listener no surviving link reaches sees exactly
-      // zero concurrent power, so its success probability is < 1e-86 —
-      // reachable only by a uniform() draw of exactly 0.0 (p = 2^-53).
-      // Skipping it before the interference sample and both RNG draws is
-      // what makes the step cost scale with the flood frontier instead of
-      // N. With culling disabled every stored power is positive, this never
-      // fires, and the RNG stream stays bit-identical to the dense engine.
-      if (sparse != nullptr &&
-          ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0)
-        continue;
+      // A listener no stored link reaches sees exactly zero concurrent
+      // power, so its success probability is < 1e-86 — reachable only by a
+      // uniform() draw of exactly 0.0 (p = 2^-53). Skipping it before the
+      // interference sample and both RNG draws is what makes the step cost
+      // scale with the flood frontier instead of N. Full rows hold only
+      // positive powers, so there this never fires and the RNG stream is
+      // the one the historical engine drew.
+      if (ws.strongest_mw[static_cast<std::size_t>(i)] == 0.0) continue;
 
       const auto r = static_cast<std::size_t>(n_rx);
       ws.rx_batch.strongest_mw[r] =

@@ -15,19 +15,21 @@
 // DESIGN.md ("Substitutions") for why slot-level behaviour is what Dimmer's
 // control loop observes.
 //
-// Hot path (DESIGN.md §10): link powers come from a phy::LinkModel — a
-// precomputed linear-domain (mW) matrix — rather than per-reception
-// dBm->mW conversions, interference comes from a phy::InterferenceView
+// Hot path (DESIGN.md §10): link powers come from a phy::LinkModel —
+// precomputed linear-domain (mW) CSR rows, one prepare_sparse call per
+// flood — rather than per-reception dBm->mW conversions, interference
+// comes from a phy::InterferenceView
 // (a cached source->listener table evaluated once per step, not one
 // InterferenceField::sample per listener), and all per-flood scratch lives
 // in a caller-owned FloodWorkspace so `run_into` allocates nothing in
 // steady state. Results are bit-identical to the historical direct-Topology
 // engine (asserted by tests/flood/test_differential.cpp against a frozen
 // reference copy).
-// Sparse backends (DESIGN.md §13): when the LinkModel offers a culled CSR
-// view (prepare_sparse), the step loop scatters per-transmitter rows and
-// skips unreachable listeners; with culling disabled this path is proven
-// bit-identical to the dense one (tests/flood/test_sparse_differential.cpp).
+// Row layout (DESIGN.md §13): when every row is full (nnz == n^2) the step
+// loop sweeps the rows as a contiguous matrix; when links were culled it
+// scatters each transmitter's row. Either way it skips listeners that no
+// stored link reaches; the scatter and the sweep are proven bit-identical
+// on the same links (tests/flood/test_sparse_differential.cpp).
 #pragma once
 
 #include <memory>
@@ -131,7 +133,8 @@ struct [[nodiscard]] FloodResult {
 /// independent engines.
 class GlossyFlood {
  public:
-  /// Convenience: binds an internally-owned CachedLinkModel over `topo`.
+  /// Convenience: binds an internally-owned CachedLinkModel (no culling)
+  /// over `topo`.
   GlossyFlood(const phy::Topology& topo, const phy::InterferenceField& interf);
 
   /// Binds an external LinkModel backend (non-owning; must outlive the

@@ -1,20 +1,23 @@
 // The PHY <-> flood seam: linear-domain link powers behind an interface.
 //
-// The flood engine's inner loop needs one number per (tx, rx) pair: the
+// The flood engine's inner loop needs one number per (tx, rx) link: the
 // received power in mW when `tx` transmits at the flood's TX power. Computing
 // it from the Topology on every reception costs a pow(10, x/10) per listener
-// per transmitter per step. A LinkModel answers the same question through a
-// precomputed row-major matrix instead: `prepare(tx_power_dbm)` returns a
-// LinkMatrixView whose entries are computed *once* per (topology, power) with
+// per transmitter per step. A LinkModel answers the same question through
+// precomputed CSR rows instead: `prepare_sparse(tx_power_dbm)` returns a
+// SparseLinkView whose entries are computed *once* per (topology, power) with
 // the exact same expression the direct path used —
 //
 //     dbm_to_mw(topo.rx_power_dbm(tx, rx, tx_power_dbm))
 //
 // — so flood results stay bit-identical to evaluating the Topology inline.
 //
-// The seam also decouples the flood engine from the Topology class itself:
-// alternate backends (trace-driven gain matrices, GPU-resident batches,
-// time-varying channels) only need to produce a LinkMatrixView.
+// SparseLinkModel is the one builder: it walks the Topology's stored gain
+// rows and keeps the links at or above its culling floor (DESIGN.md §13).
+// CachedLinkModel is the same builder with culling disabled, so its rows are
+// full. The seam also decouples the flood engine from the Topology class
+// itself: alternate backends (trace-driven gains, time-varying channels)
+// only need to produce a SparseLinkView.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +27,10 @@
 
 namespace dimmer::phy {
 
-/// Non-owning view of a row-major n*n linear-domain (mW) link-power matrix.
-/// `row(tx)[rx]` is the received power at `rx` for a transmission from `tx`
-/// at the power the view was prepared for. Valid until the next `prepare()`
-/// call on (or destruction of) the model that produced it.
+/// Non-owning view of a row-major n*n linear-domain (mW) link-power matrix:
+/// the mw array of a SparseLinkView whose rows are full (see
+/// LinkModel::prepare). Valid until the next prepare call on (or destruction
+/// of) the model that produced it.
 struct LinkMatrixView {
   const double* mw = nullptr;
   int n = 0;
@@ -37,14 +40,14 @@ struct LinkMatrixView {
   }
 };
 
-/// Non-owning CSR view of a *culled* link-power matrix: per transmitter, only
-/// the links whose rx power survived the backend's culling floor, as parallel
-/// (col, mw) arrays. Listener ids are strictly ascending within a row, and
-/// every stored power is positive (dbm_to_mw never produces 0 for a finite
-/// dBm value) — the flood engine relies on both to keep its per-listener
-/// accumulation order identical to the dense sweep and to use "accumulated
-/// power == 0.0" as "no surviving transmitter reaches this listener".
-/// Same validity rule as LinkMatrixView: good until the next prepare call.
+/// Non-owning CSR view of a link-power matrix: per transmitter, the links
+/// its backend stores, as parallel (col, mw) arrays. Listener ids are
+/// strictly ascending within a row, and every stored power is positive
+/// (dbm_to_mw never produces 0 for a finite dBm value) — the flood engine
+/// relies on both to keep its per-listener accumulation order identical
+/// across layouts and to use "accumulated power == 0.0" as "no stored link
+/// reaches this listener". When every row is full (nnz == n*n), `mw` is the
+/// row-major n*n matrix. Valid until the next prepare call on the model.
 struct SparseLinkView {
   const std::size_t* row_ptr = nullptr;  ///< n+1 offsets into col/mw
   const NodeId* col = nullptr;           ///< listener ids, ascending per row
@@ -53,6 +56,9 @@ struct SparseLinkView {
 
   std::size_t nnz() const {
     return row_ptr == nullptr ? 0 : row_ptr[static_cast<std::size_t>(n)];
+  }
+  bool full_rows() const {
+    return nnz() == static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
   }
   std::size_t row_begin(NodeId tx) const {
     return row_ptr[static_cast<std::size_t>(tx)];
@@ -64,7 +70,7 @@ struct SparseLinkView {
 
 /// Interface the flood engine consumes instead of poking Topology directly.
 ///
-/// Implementations are stateful caches: `prepare` may recompute internal
+/// Implementations are stateful caches: a prepare call may recompute internal
 /// storage, so a single LinkModel instance must not be shared by concurrently
 /// running flood engines (one model per simulation thread, as with RNGs).
 class LinkModel {
@@ -72,45 +78,105 @@ class LinkModel {
   virtual ~LinkModel() = default;
 
   /// The topology this model describes (radio constants, interference
-  /// geometry). Every view has exactly `topology().size()` rows/columns.
+  /// geometry). Every view has exactly `topology().size()` rows.
   virtual const Topology& topology() const = 0;
 
-  /// Returns the mW link matrix for `tx_power_dbm`. Implementations cache:
-  /// repeated calls with the same power are O(1).
-  virtual LinkMatrixView prepare(double tx_power_dbm) = 0;
+  /// Returns the CSR link powers for `tx_power_dbm`. Implementations cache:
+  /// repeated calls with the same power are O(1). The flood engine calls
+  /// this once per flood.
+  virtual const SparseLinkView* prepare_sparse(double tx_power_dbm) = 0;
 
-  /// Optional sparse path: backends that cull sub-floor links return a CSR
-  /// view for `tx_power_dbm` (same caching contract as prepare); dense-only
-  /// backends return nullptr and callers fall back to the matrix view. The
-  /// flood engine probes this first, so a sparse backend never has to
-  /// materialize the O(N^2) matrix on the simulation path.
-  virtual const SparseLinkView* prepare_sparse(double tx_power_dbm) {
-    (void)tx_power_dbm;
-    return nullptr;
-  }
+  /// The same links as a row-major matrix; REQUIREs full rows. The flood
+  /// engine never calls it: it serves callers that read matrix rows.
+  virtual LinkMatrixView prepare(double tx_power_dbm);
 };
 
-/// The standard backend: caches one matrix keyed by the last-prepared TX
-/// power. Recomputes only when the power changes (floods within a protocol
-/// run virtually always share one TX power, so steady state is one compute
-/// per topology).
-class CachedLinkModel final : public LinkModel {
+/// The link-model builder: CSR rows of mW powers, one per transmitter,
+/// cached for the last-prepared TX power. A link survives iff its rx power
+/// is at or above noise_floor_dbm - cull_margin_db; links the Topology
+/// already culled are never considered.
+///
+/// Determinism contract (DESIGN.md §13):
+///  - Every stored link holds the exact double of the historical per-link
+///    expression: the same rx_power_dbm sum fed through the dbm_to_mw_batch
+///    kernel, which is lanewise pure, so compacting survivors before the
+///    batch conversion cannot change their bits.
+///  - With culling disabled (Config::no_culling) over a topology that keeps
+///    every link, rows are full and the flood engine takes its contiguous
+///    row sweep (CachedLinkModel).
+///  - With culling enabled, the total culled power any listener could ever
+///    lose is bounded by cull_floor_mw * fan-in (each culled link is below
+///    the floor; tests/phy/test_sparse_link_model.cpp proves the bound), so
+///    a floor chosen via Config::bounded_influence keeps the aggregate error
+///    strictly below the noise floor's own contribution to SINR.
+class SparseLinkModel : public LinkModel {
  public:
-  explicit CachedLinkModel(const Topology& topo);
+  struct Config {
+    /// Links whose rx power falls below noise_floor_dbm - cull_margin_db are
+    /// dropped. Must be positive; +infinity keeps every link.
+    double cull_margin_db = 20.0;
+
+    /// Culling disabled: every link the Topology stores survives. Over a
+    /// topology that keeps every link this stores N^2 entries, so only use
+    /// it at small N.
+    static Config no_culling();
+
+    /// A margin guaranteeing that the *summed* culled power at any listener
+    /// stays at least `headroom_db` below the noise floor even if all n-1
+    /// other nodes transmit at once: cull_floor_mw * (n-1) <=
+    /// noise_mw / 10^(headroom_db/10). Grows as 10*log10(n-1), so the bound
+    /// holds at any scale.
+    static Config bounded_influence(int n, double headroom_db = 10.0);
+  };
+
+  /// Default config: the 20 dB culling margin.
+  explicit SparseLinkModel(const Topology& topo);
+  SparseLinkModel(const Topology& topo, Config cfg);
+  // The view points into this object's own arrays.
+  SparseLinkModel(const SparseLinkModel&) = delete;
+  SparseLinkModel& operator=(const SparseLinkModel&) = delete;
 
   const Topology& topology() const override { return *topo_; }
-  LinkMatrixView prepare(double tx_power_dbm) override;
 
-  /// Number of full matrix recomputations so far (test/bench introspection).
+  const SparseLinkView* prepare_sparse(double tx_power_dbm) override;
+
+  /// Number of full CSR recomputations so far (test/bench introspection).
   int rebuilds() const { return rebuilds_; }
 
+  /// Culling floor in dBm (noise floor minus the configured margin).
+  double cull_floor_dbm() const;
+
+  /// Survived-link count of the last prepared view (0 before any prepare).
+  std::size_t nnz() const { return mw_.size(); }
+
+  /// Bytes held by the CSR arrays (row_ptr + col + mw) — the number the
+  /// scale bench reports against the dense 8*N^2.
+  std::size_t storage_bytes() const;
+
  private:
+  void rebuild(double tx_power_dbm);
+
   const Topology* topo_;
-  std::vector<double> mw_;        // row-major size*size
-  std::vector<double> dbm_row_;   // rebuild scratch: one row of dBm powers
+  Config cfg_;
+  std::vector<std::size_t> row_ptr_;  // n+1 offsets
+  std::vector<NodeId> col_;           // nnz listener ids
+  std::vector<double> mw_;            // nnz received powers
+  std::vector<double> keep_dbm_;      // rebuild scratch: one row's survivors
+  SparseLinkView view_;
   double cached_power_dbm_ = 0.0;
   bool valid_ = false;
   int rebuilds_ = 0;
+};
+
+/// The standard backend: SparseLinkModel with culling disabled. Over a
+/// topology that keeps every link, its rows are full, so the flood engine
+/// sweeps them as a row-major matrix. Recomputes only when the TX power
+/// changes (floods within a protocol run virtually always share one TX
+/// power, so steady state is one build per topology).
+class CachedLinkModel final : public SparseLinkModel {
+ public:
+  explicit CachedLinkModel(const Topology& topo)
+      : SparseLinkModel(topo, Config::no_culling()) {}
 };
 
 }  // namespace dimmer::phy

@@ -1,99 +1,7 @@
-// Sparse (culled CSR) LinkModel backend for large topologies.
-//
-// A dense link matrix costs 8*N^2 bytes and makes every flood step sweep
-// mostly-irrelevant rows: at city scale almost all (tx, rx) pairs are so far
-// apart that their received power is orders of magnitude below the noise
-// floor and can never influence a reception decision. SparseLinkModel culls
-// those links at build time — a link survives iff its rx power (dBm) is at
-// or above a configurable floor relative to the radio's noise floor —
-// and stores the survivors as CSR rows per transmitter.
-//
-// Determinism contract (DESIGN.md §13):
-//  - Surviving links hold the *exact* double the dense CachedLinkModel would
-//    hold: the same rx_power_dbm expression fed through the same
-//    dbm_to_mw_batch kernel (which is lanewise pure, so compacting survivors
-//    before the batch conversion cannot change their bits).
-//  - With culling disabled (Config::no_culling), every link survives, rows
-//    are full, and a flood engine driven by this backend is bit-identical to
-//    one driven by CachedLinkModel — FloodResult AND RNG end-state
-//    (tests/flood/test_sparse_differential.cpp).
-//  - With culling enabled, the total culled power any listener could ever
-//    lose is bounded by cull_floor_mw * fan-in (each culled link is below
-//    the floor; tests/phy/test_sparse_link_model.cpp proves the bound), so a
-//    floor chosen via Config::bounded_influence keeps the aggregate error
-//    strictly below the noise floor's own contribution to SINR.
+// SparseLinkModel, the culling link-model builder, is declared in
+// phy/link_model.hpp beside CachedLinkModel, which is the same builder with
+// culling disabled. This header is kept for the code that includes it by
+// this name.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "phy/link_model.hpp"
-#include "phy/topology.hpp"
-
-namespace dimmer::phy {
-
-class SparseLinkModel final : public LinkModel {
- public:
-  struct Config {
-    /// Links whose rx power falls below noise_floor_dbm - cull_margin_db are
-    /// dropped. Must be positive; +infinity keeps every link.
-    double cull_margin_db = 20.0;
-
-    /// Culling disabled: every link survives and results are bit-identical
-    /// to CachedLinkModel (the point of this config is the differential
-    /// suite; it stores N^2 entries, so only use it at small N).
-    static Config no_culling();
-
-    /// A margin guaranteeing that the *summed* culled power at any listener
-    /// stays at least `headroom_db` below the noise floor even if all n-1
-    /// other nodes transmit at once: cull_floor_mw * (n-1) <=
-    /// noise_mw / 10^(headroom_db/10). Grows as 10*log10(n-1), so the bound
-    /// holds at any scale.
-    static Config bounded_influence(int n, double headroom_db = 10.0);
-  };
-
-  /// Default config: the 20 dB culling margin.
-  explicit SparseLinkModel(const Topology& topo);
-  SparseLinkModel(const Topology& topo, Config cfg);
-
-  const Topology& topology() const override { return *topo_; }
-
-  /// Dense compatibility fallback: scatters the CSR rows into an internally
-  /// held row-major matrix (culled entries read as exactly 0.0 mW). Costs
-  /// O(N^2) memory — the flood engine never calls it when prepare_sparse is
-  /// available; it exists for dense-only consumers and tests.
-  LinkMatrixView prepare(double tx_power_dbm) override;
-
-  const SparseLinkView* prepare_sparse(double tx_power_dbm) override;
-
-  /// Number of full CSR recomputations so far (test/bench introspection).
-  int rebuilds() const { return rebuilds_; }
-
-  /// Culling floor in dBm (noise floor minus the configured margin).
-  double cull_floor_dbm() const;
-
-  /// Survived-link count of the last prepared view (0 before any prepare).
-  std::size_t nnz() const { return mw_.size(); }
-
-  /// Bytes held by the CSR arrays (row_ptr + col + mw) — the number the
-  /// scale bench reports against the dense 8*N^2.
-  std::size_t storage_bytes() const;
-
- private:
-  void rebuild(double tx_power_dbm);
-
-  const Topology* topo_;
-  Config cfg_;
-  std::vector<std::size_t> row_ptr_;  // n+1 offsets
-  std::vector<NodeId> col_;           // nnz listener ids
-  std::vector<double> mw_;            // nnz received powers
-  std::vector<double> dbm_row_;       // rebuild scratch: one full dBm row
-  std::vector<double> keep_dbm_;      // rebuild scratch: compacted survivors
-  std::vector<double> dense_;         // lazily sized only if prepare() runs
-  SparseLinkView view_;
-  double cached_power_dbm_ = 0.0;
-  bool valid_ = false;
-  int rebuilds_ = 0;
-};
-
-}  // namespace dimmer::phy

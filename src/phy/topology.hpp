@@ -1,4 +1,4 @@
-// Node placement and the static link-gain matrix.
+// Node placement and the static link gains, stored as CSR rows.
 //
 // A Topology owns node positions plus a deterministic per-link shadowing draw,
 // and answers "what power does node j see when node i transmits?" for both
@@ -34,18 +34,18 @@ struct NeighborCsr {
 
 class Topology {
  public:
-  /// Builds the dense gain matrix. `shadow_seed` fixes the lognormal
-  /// shadowing draws; identical seeds give identical radio environments.
+  /// Keeps every link: the culling constructor with a -infinity floor.
+  /// `shadow_seed` fixes the lognormal shadowing draws; identical seeds give
+  /// identical radio environments.
   Topology(std::vector<Vec2> positions, PathLossModel model,
            RadioConstants radio, std::uint64_t shadow_seed);
 
-  /// Culling constructor (ROADMAP item 2): link gains below `gain_floor_db`
-  /// are dropped *at construction* and the survivors stored as CSR rows —
-  /// O(nnz) instead of the dense 8*N^2 bytes. Surviving entries hold the
-  /// exact double the dense constructor would hold (same distance, same
-  /// hashed shadowing draw); culled pairs read as -infinity, i.e. a link
-  /// that physically does not exist. Self-gains (the 0.0 diagonal) always
-  /// survive. Pass -infinity to keep every link in CSR form.
+  /// Stores link gains as CSR rows, one per transmitter. Gains below
+  /// `gain_floor_db` are dropped at construction, so storage is O(nnz);
+  /// dropped pairs read as -infinity, i.e. a link that physically does not
+  /// exist. Surviving entries do not depend on the floor (same distance,
+  /// same hashed shadowing draw). Self-gains (0.0) always survive. With a
+  /// -infinity floor every row is full.
   Topology(std::vector<Vec2> positions, PathLossModel model,
            RadioConstants radio, std::uint64_t shadow_seed,
            double gain_floor_db);
@@ -56,21 +56,29 @@ class Topology {
   const RadioConstants& radio() const { return radio_; }
   std::uint64_t shadow_seed() const { return shadow_seed_; }
 
-  /// True when this topology stores a construction-culled CSR gain matrix.
-  bool culled() const { return culled_; }
-  /// The culling floor (-infinity for dense topologies: nothing was culled).
+  /// The culling floor (-infinity when every link is kept).
   double gain_floor_db() const { return gain_floor_db_; }
-  /// Stored gain entries (diagonal included); N^2 for dense topologies.
-  std::size_t gain_nnz() const;
-  /// Bytes held by the gain storage (dense matrix, or CSR arrays when
-  /// culled) — the number bench_flood_scale reports against 8*N^2.
+  /// Stored gain entries (diagonal included); N^2 when nothing was culled.
+  std::size_t gain_nnz() const { return cgain_.size(); }
+  /// Bytes held by the CSR gain arrays — the number bench_flood_scale
+  /// reports against a dense 8*N^2 matrix.
   std::size_t gain_storage_bytes() const;
 
+  /// One stored row: parallel (listener id, gain) arrays, ids strictly
+  /// ascending. Pairs absent from the row were culled.
+  struct GainRow {
+    const NodeId* col = nullptr;
+    const double* gain_db = nullptr;
+    std::size_t size = 0;
+  };
+  /// The stored row of `tx`; debug-only bounds check, like gain_db.
+  GainRow gain_row(NodeId tx) const;
+
   /// Link gain in dB between two nodes (path loss + static shadowing, < 0).
-  /// Hot accessor: bounds are checked in debug builds only — callers are
-  /// expected to validate node ids at their own API boundary (the flood
-  /// engine does so at flood entry). On a culled topology this is a binary
-  /// search within the CSR row; culled pairs return -infinity.
+  /// Bounds are checked in debug builds only — callers are expected to
+  /// validate node ids at their own API boundary. A binary search within
+  /// the CSR row; culled pairs return -infinity. Bulk consumers walk
+  /// gain_row instead.
   double gain_db(NodeId tx, NodeId rx) const;
 
   /// Received power in dBm at `rx` for a transmission from `tx`. Same
@@ -90,10 +98,10 @@ class Topology {
   /// re-draw — pairwise shadowing between members is preserved, unlike
   /// rebuilding a Topology from the member positions, which would re-key
   /// the draws on the compacted ids), and external-point shadowing keys on
-  /// the parent ids (see gain_from_point_db). Culling state (floor, CSR
-  /// storage) is inherited. This is the Cell seam's id-remapping primitive:
-  /// restricting to *all* nodes yields a topology whose every query is
-  /// bit-identical to the parent (asserted in tests/phy/test_topology.cpp).
+  /// the parent ids (see gain_from_point_db). The floor is inherited. This
+  /// is the Cell seam's id-remapping primitive: restricting to *all* nodes
+  /// yields a topology whose every query is bit-identical to the parent
+  /// (asserted in tests/phy/test_topology.cpp).
   Topology restricted(const std::vector<NodeId>& members) const;
 
   /// Parent id of a local node: members[n] for restricted() topologies, n
@@ -101,9 +109,9 @@ class Topology {
   NodeId parent_id(NodeId n) const;
 
   /// CSR neighbor lists over "good" links (clean-SNR PER below 10% for
-  /// `frame_bytes` at `tx_power_dbm`). Built in one O(N^2) pass over the
-  /// gain matrix; reuse the result across hop_counts_from calls when
-  /// querying many roots of the same topology.
+  /// `frame_bytes` at `tx_power_dbm`). Built in one pass over the stored
+  /// gain rows; reuse the result across hop_counts_from calls when querying
+  /// many roots of the same topology.
   NeighborCsr good_neighbors(int frame_bytes = 36,
                              double tx_power_dbm = 0.0) const;
 
@@ -129,20 +137,18 @@ class Topology {
   Topology(RestrictedTag, const Topology& parent,
            const std::vector<NodeId>& members);
 
-  /// The exact pairwise gain expression of the dense constructor, evaluated
-  /// symmetrically (distance and the shadowing hash key on the lower id
-  /// first), so per-row culled construction reproduces the dense bits.
+  /// The pairwise gain expression, evaluated symmetrically (distance and
+  /// the shadowing hash key on the lower id first), so both directions of a
+  /// link hold the same bits.
   double pair_gain(NodeId a, NodeId b) const;
 
   std::vector<Vec2> positions_;
   PathLossModel model_;
   RadioConstants radio_;
   std::uint64_t shadow_seed_;
-  std::vector<double> gain_;  // row-major size*size, symmetric (dense mode)
 
-  // Construction-culled CSR storage (culled_ == true): survivors per row,
-  // ascending column ids, parallel gain values. gain_ stays empty.
-  bool culled_ = false;
+  // CSR gain storage: survivors per row, ascending column ids, parallel
+  // gain values.
   double gain_floor_db_ = -std::numeric_limits<double>::infinity();
   std::vector<std::size_t> row_ptr_;  // n+1 offsets
   std::vector<NodeId> col_;
@@ -150,8 +156,6 @@ class Topology {
 
   // restricted(): local -> parent node ids (empty = identity).
   std::vector<NodeId> parent_ids_;
-
-  double& gain_at(NodeId a, NodeId b) { return gain_[a * size() + b]; }
 };
 
 // ---- Topology factories ------------------------------------------------
@@ -183,12 +187,13 @@ Topology make_dcube48_topology(std::uint64_t shadow_seed = 48);
 /// Connected by construction — no placement retries — which is what makes
 /// 1000+-node topologies build in one Topology construction instead of
 /// make_random_topology's rejection loop. Node 0 is the coordinator in the
-/// first grid corner; the flood diameter grows as sqrt(n).
+/// first grid corner; the flood diameter grows as sqrt(n). Keeps every link:
+/// make_campus_topology_culled with a -infinity floor.
 Topology make_campus_topology(int n, std::uint64_t shadow_seed = 1);
 
 /// Campus factory with construction-time gain culling (see the culling
 /// Topology constructor): identical placement and surviving gains to
-/// make_campus_topology(n, shadow_seed), stored as CSR above the floor.
+/// make_campus_topology(n, shadow_seed), only links above the floor stored.
 Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                                      double gain_floor_db);
 

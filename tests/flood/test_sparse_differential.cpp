@@ -1,42 +1,58 @@
-// Sparse-vs-dense differential suite for the CSR link backend (DESIGN.md
-// §13): a GlossyFlood driven by SparseLinkModel with culling *disabled* must
-// be bit-identical — every FloodResult field AND the RNG end-state — to the
-// dense CachedLinkModel engine on every canonical topology, clean or jammed.
-// With culling *enabled*, results may legitimately differ in individual
+// Scatter-vs-sweep differential suite for the flood engine's two row
+// layouts (DESIGN.md §13). GlossyFlood sweeps a link view as a row-major
+// matrix when every row is full and scatters CSR rows otherwise. On the same
+// effective links the two must be bit-identical — every FloodResult field
+// AND the RNG end-state — on every canonical topology, clean or jammed.
+//
+// The scatter side reaches the same links by appending one node far beyond
+// any link's reach and keeping it out of the flood: its links are culled,
+// so no view has full rows, while every link among the original nodes keeps
+// its bits. Both culling layers are exercised — a CachedLinkModel over a
+// topology that culled the far links at construction, and a SparseLinkModel
+// whose rx-power floor culls them.
+//
+// With real culling, results may legitimately differ in individual
 // receptions, but the aggregate delivery ratio stays within a tight band of
-// the dense engine's (the culled power is provably below the noise floor;
-// tests/phy/test_sparse_link_model.cpp carries the bound).
+// the unculled engine's (the culled power is provably below the noise
+// floor; tests/phy/test_sparse_link_model.cpp carries the bound).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenarios.hpp"
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
-#include "phy/sparse_link_model.hpp"
+#include "phy/link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/rng.hpp"
 
 namespace dimmer::flood {
 namespace {
 
-void expect_identical(const FloodResult& a, const FloodResult& b) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  EXPECT_EQ(a.initiator, b.initiator);
-  EXPECT_EQ(a.steps_simulated, b.steps_simulated);
-  ASSERT_EQ(a.participated.size(), b.participated.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+/// `scatter` ran the far-node topology, `sweep` the original: the original
+/// nodes must match field for field, and the far node sat the flood out.
+void expect_identical(const FloodResult& sweep, const FloodResult& scatter) {
+  ASSERT_EQ(sweep.nodes.size() + 1, scatter.nodes.size());
+  ASSERT_EQ(sweep.participated.size() + 1, scatter.participated.size());
+  EXPECT_EQ(sweep.initiator, scatter.initiator);
+  EXPECT_EQ(sweep.steps_simulated, scatter.steps_simulated);
+  for (std::size_t i = 0; i < sweep.nodes.size(); ++i) {
     SCOPED_TRACE("node " + std::to_string(i));
-    EXPECT_EQ(a.participated[i], b.participated[i]);
-    EXPECT_EQ(a.nodes[i].received, b.nodes[i].received);
-    EXPECT_EQ(a.nodes[i].first_rx_step, b.nodes[i].first_rx_step);
-    EXPECT_EQ(a.nodes[i].transmissions, b.nodes[i].transmissions);
-    EXPECT_EQ(a.nodes[i].radio_on_us, b.nodes[i].radio_on_us);
+    EXPECT_EQ(sweep.participated[i], scatter.participated[i]);
+    EXPECT_EQ(sweep.nodes[i].received, scatter.nodes[i].received);
+    EXPECT_EQ(sweep.nodes[i].first_rx_step, scatter.nodes[i].first_rx_step);
+    EXPECT_EQ(sweep.nodes[i].transmissions, scatter.nodes[i].transmissions);
+    EXPECT_EQ(sweep.nodes[i].radio_on_us, scatter.nodes[i].radio_on_us);
   }
+  EXPECT_FALSE(scatter.participated.back());
+  EXPECT_FALSE(scatter.nodes.back().received);
+  EXPECT_EQ(scatter.nodes.back().transmissions, 0);
 }
 
-void expect_same_rng_state(util::Pcg32& a, util::Pcg32& b) {
+void expect_same_rng_state(util::Pcg32 a, util::Pcg32 b) {
   // Same stream position, and the same Marsaglia spare state (a cached
   // spare would make the next normal() differ with aligned raw streams).
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a.next_u32(), b.next_u32());
@@ -68,26 +84,81 @@ Case make_case(const std::string& name, double jam_duty) {
   return c;
 }
 
-/// Runs the dense (CachedLinkModel) engine and the sparse engine with
-/// culling disabled from identical RNG states and asserts bit-identity.
-void run_sparse_differential(const std::string& topo_name, double jam_duty,
-                             const std::vector<NodeFloodConfig>& configs,
-                             phy::NodeId initiator, const FloodParams& params,
-                             std::uint64_t seed) {
+/// Culls the far node's links (about -350 dB) and keeps every link among
+/// the original nodes (all above -160 dB), as a gain floor in dB and as an
+/// rx-power floor in dBm at the powers used here (<= 3 dBm).
+constexpr double kFarFloor = -250.0;
+
+/// `t` plus one node 1e8 m away, appended as the last id. The shadowing
+/// draw keys on the pair's ids, so links among the original nodes keep
+/// their bits.
+phy::Topology with_far_node(const phy::Topology& t, double gain_floor_db) {
+  std::vector<phy::Vec2> pos;
+  for (phy::NodeId i = 0; i < t.size(); ++i) pos.push_back(t.position(i));
+  pos.push_back({1e8, 1e8});
+  return phy::Topology(std::move(pos), t.path_loss(), t.radio(),
+                       t.shadow_seed(), gain_floor_db);
+}
+
+/// The two scatter backends over the far-node topology.
+struct FarNodeLinks {
+  explicit FarNodeLinks(const phy::Topology& t)
+      : culled(with_far_node(t, kFarFloor)),
+        full(with_far_node(t, -std::numeric_limits<double>::infinity())),
+        cached(culled),
+        sparse(full, phy::SparseLinkModel::Config{
+                         t.radio().noise_floor_dbm - kFarFloor}) {
+    const auto n = static_cast<std::size_t>(t.size());
+    EXPECT_EQ(culled.gain_nnz(), n * n + 1);  // only the far links culled
+  }
+  std::vector<phy::LinkModel*> models() { return {&cached, &sparse}; }
+  static const char* name(int k) {
+    return k == 0 ? "topology-culled CachedLinkModel"
+                  : "rx-culled SparseLinkModel";
+  }
+
+  phy::Topology culled;  // far links culled at construction
+  phy::Topology full;    // every link stored
+  phy::CachedLinkModel cached;
+  phy::SparseLinkModel sparse;
+};
+
+/// Appends the far node's config: it sits the flood out.
+std::vector<NodeFloodConfig> with_far_config(
+    std::vector<NodeFloodConfig> configs) {
+  configs.push_back(NodeFloodConfig{3, false});
+  return configs;
+}
+
+/// Runs the sweep engine (CachedLinkModel over the case topology: full
+/// rows) and both scatter engines from identical RNG states and asserts
+/// bit-identity.
+void run_scatter_vs_sweep(const std::string& topo_name, double jam_duty,
+                          const std::vector<NodeFloodConfig>& configs,
+                          phy::NodeId initiator, const FloodParams& params,
+                          std::uint64_t seed) {
   Case c = make_case(topo_name, jam_duty);
   ASSERT_EQ(static_cast<int>(configs.size()), c.topo.size());
 
-  GlossyFlood dense_engine(c.topo, c.field);
-  util::Pcg32 rng_dense(seed);
-  FloodResult want = dense_engine.run(initiator, configs, params, rng_dense);
+  phy::CachedLinkModel sweep_links(c.topo);
+  ASSERT_TRUE(sweep_links.prepare_sparse(params.tx_power_dbm)->full_rows());
+  GlossyFlood sweep_engine(sweep_links, c.field);
+  util::Pcg32 rng_sweep(seed);
+  FloodResult want = sweep_engine.run(initiator, configs, params, rng_sweep);
 
-  phy::SparseLinkModel links(c.topo, phy::SparseLinkModel::Config::no_culling());
-  GlossyFlood sparse_engine(links, c.field);
-  util::Pcg32 rng_sparse(seed);
-  FloodResult got = sparse_engine.run(initiator, configs, params, rng_sparse);
-
-  expect_identical(want, got);
-  expect_same_rng_state(rng_dense, rng_sparse);
+  FarNodeLinks far(c.topo);
+  const std::vector<NodeFloodConfig> far_cfgs = with_far_config(configs);
+  std::vector<phy::LinkModel*> models = far.models();
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
+    ASSERT_FALSE(models[k]->prepare_sparse(params.tx_power_dbm)->full_rows());
+    GlossyFlood scatter_engine(*models[k], c.field);
+    util::Pcg32 rng_scatter(seed);
+    FloodResult got =
+        scatter_engine.run(initiator, far_cfgs, params, rng_scatter);
+    expect_identical(want, got);
+    expect_same_rng_state(rng_sweep, rng_scatter);
+  }
 }
 
 std::vector<NodeFloodConfig> uniform_configs(int n, int n_tx) {
@@ -101,8 +172,8 @@ TEST(SparseDifferential, CleanTopologies) {
     Case c = make_case(name, 0.0);
     const int n = c.topo.size();
     for (std::uint64_t seed : {1ULL, 77ULL, 4242ULL}) {
-      run_sparse_differential(name, 0.0, uniform_configs(n, 3), 0,
-                              FloodParams{}, seed);
+      run_scatter_vs_sweep(name, 0.0, uniform_configs(n, 3), 0, FloodParams{},
+                           seed);
     }
   }
 }
@@ -115,8 +186,7 @@ TEST(SparseDifferential, JammedTopologies) {
     for (std::uint64_t seed : {9ULL, 1234ULL}) {
       FloodParams p;
       p.slot_start_us = sim::seconds(5);  // land inside jammer bursts
-      run_sparse_differential(name, 0.3, uniform_configs(n, 3), n / 2, p,
-                              seed);
+      run_scatter_vs_sweep(name, 0.3, uniform_configs(n, 3), n / 2, p, seed);
     }
   }
 }
@@ -132,61 +202,71 @@ TEST(SparseDifferential, MixedBudgetsAndPassiveReceivers) {
     cfgs[static_cast<std::size_t>(i)].participates = false;
   cfgs[3].participates = true;  // keep the initiator participating
   for (std::uint64_t seed : {3ULL, 31ULL, 314ULL}) {
-    run_sparse_differential("dcube48", 0.0, cfgs, 3, FloodParams{}, seed);
-    run_sparse_differential("dcube48", 0.3, cfgs, 3, FloodParams{}, seed);
+    run_scatter_vs_sweep("dcube48", 0.0, cfgs, 3, FloodParams{}, seed);
+    run_scatter_vs_sweep("dcube48", 0.3, cfgs, 3, FloodParams{}, seed);
   }
 }
 
 TEST(SparseDifferential, AlternatingTxPowerRebindsCsr) {
-  // Back-to-back floods at different TX powers through ONE sparse engine:
-  // the CSR rebinds per power exactly like the dense cache does.
+  // Back-to-back floods at different TX powers through ONE scatter engine:
+  // its CSR rebinds per power exactly like the sweep engine's cache does.
   Case c = make_case("office18", 0.3);
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 3);
+  const auto far_cfgs = with_far_config(cfgs);
 
-  GlossyFlood dense_engine(c.topo, c.field);
-  phy::SparseLinkModel links(c.topo, phy::SparseLinkModel::Config::no_culling());
-  GlossyFlood sparse_engine(links, c.field);
-  util::Pcg32 rng_dense(55);
-  util::Pcg32 rng_sparse(55);
-  for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
-    SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-    FloodParams p;
-    p.tx_power_dbm = power;
-    FloodResult want = dense_engine.run(0, cfgs, p, rng_dense);
-    FloodResult got = sparse_engine.run(0, cfgs, p, rng_sparse);
-    expect_identical(want, got);
+  FarNodeLinks far(c.topo);
+  std::vector<phy::LinkModel*> models = far.models();
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
+    GlossyFlood sweep_engine(c.topo, c.field);
+    GlossyFlood scatter_engine(*models[k], c.field);
+    util::Pcg32 rng_sweep(55);
+    util::Pcg32 rng_scatter(55);
+    for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
+      SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
+      FloodParams p;
+      p.tx_power_dbm = power;
+      FloodResult want = sweep_engine.run(0, cfgs, p, rng_sweep);
+      FloodResult got = scatter_engine.run(0, far_cfgs, p, rng_scatter);
+      expect_identical(want, got);
+    }
+    expect_same_rng_state(rng_sweep, rng_scatter);
   }
-  expect_same_rng_state(rng_dense, rng_sparse);
 }
 
 TEST(SparseDifferential, RunIntoReusedBuffersMatchDense) {
-  // Reused workspace/result buffers through the sparse scatter path must be
-  // as invisible as through the dense sweep.
+  // Reused workspace/result buffers through the scatter loop must be as
+  // invisible as through the sweep.
   Case c = make_case("dcube48", 0.3);
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 3);
   cfgs[4].n_tx = 0;
   cfgs[9].participates = false;
+  const auto far_cfgs = with_far_config(cfgs);
 
-  GlossyFlood dense_engine(c.topo, c.field);
-  phy::SparseLinkModel links(c.topo, phy::SparseLinkModel::Config::no_culling());
-  GlossyFlood sparse_engine(links, c.field);
-  FloodWorkspace ws;
-  FloodResult reused;
-  util::Pcg32 rng_dense(88);
-  util::Pcg32 rng_sparse(88);
-  for (int round = 0; round < 6; ++round) {
-    SCOPED_TRACE("round " + std::to_string(round));
-    FloodParams p;
-    p.slot_start_us = round * sim::ms(40);
-    phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
-    if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
-    FloodResult want = dense_engine.run(init, cfgs, p, rng_dense);
-    sparse_engine.run_into(init, cfgs, p, rng_sparse, ws, reused);
-    expect_identical(want, reused);
+  FarNodeLinks far(c.topo);
+  std::vector<phy::LinkModel*> models = far.models();
+  for (std::size_t k = 0; k < models.size(); ++k) {
+    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
+    GlossyFlood sweep_engine(c.topo, c.field);
+    GlossyFlood scatter_engine(*models[k], c.field);
+    FloodWorkspace ws;
+    FloodResult reused;
+    util::Pcg32 rng_sweep(88);
+    util::Pcg32 rng_scatter(88);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      FloodParams p;
+      p.slot_start_us = round * sim::ms(40);
+      phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
+      if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
+      FloodResult want = sweep_engine.run(init, cfgs, p, rng_sweep);
+      scatter_engine.run_into(init, far_cfgs, p, rng_scatter, ws, reused);
+      expect_identical(want, reused);
+    }
+    expect_same_rng_state(rng_sweep, rng_scatter);
   }
-  expect_same_rng_state(rng_dense, rng_sparse);
 }
 
 TEST(SparseDifferential, CullingPreservesDeliveryRatioOnDcube48) {
@@ -198,7 +278,7 @@ TEST(SparseDifferential, CullingPreservesDeliveryRatioOnDcube48) {
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 2);
 
-  GlossyFlood dense_engine(c.topo, c.field);
+  GlossyFlood dense_engine(c.topo, c.field);  // CachedLinkModel: no culling
   phy::SparseLinkModel links(
       c.topo, phy::SparseLinkModel::Config::bounded_influence(n));
   GlossyFlood sparse_engine(links, c.field);

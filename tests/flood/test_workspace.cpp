@@ -17,7 +17,7 @@
 #include "flood/glossy.hpp"
 #include "flood/workspace.hpp"
 #include "lwb/round.hpp"
-#include "phy/sparse_link_model.hpp"
+#include "phy/link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/rng.hpp"
 

@@ -93,23 +93,33 @@ TEST(CachedLinkModel, RebuildsOnlyOnPowerChange) {
   EXPECT_EQ(model.rebuilds(), 3);
 }
 
-// A custom backend proving the seam: uniform link power everywhere except
-// self-links, regardless of the underlying topology's path loss.
+// A custom backend proving the seam: uniform link power between every pair
+// of distinct nodes, regardless of the underlying topology's path loss. Its
+// CSR rows leave out the self-links, so the engine scatters them.
 class UniformLinkModel final : public LinkModel {
  public:
   UniformLinkModel(const Topology& topo, double mw) : topo_(&topo) {
-    const auto n = static_cast<std::size_t>(topo.size());
-    mw_.assign(n * n, mw);
-    for (std::size_t i = 0; i < n; ++i) mw_[i * n + i] = 0.0;
+    const int n = topo.size();
+    row_ptr_.push_back(0);
+    for (NodeId tx = 0; tx < n; ++tx) {
+      for (NodeId rx = 0; rx < n; ++rx) {
+        if (rx == tx) continue;
+        col_.push_back(rx);
+        mw_.push_back(mw);
+      }
+      row_ptr_.push_back(col_.size());
+    }
+    view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
   }
   const Topology& topology() const override { return *topo_; }
-  LinkMatrixView prepare(double) override {
-    return LinkMatrixView{mw_.data(), topo_->size()};
-  }
+  const SparseLinkView* prepare_sparse(double) override { return &view_; }
 
  private:
   const Topology* topo_;
+  std::vector<std::size_t> row_ptr_;
+  std::vector<NodeId> col_;
   std::vector<double> mw_;
+  SparseLinkView view_;
 };
 
 TEST(LinkModel, CustomBackendDrivesFloodEngine) {

@@ -1,9 +1,10 @@
 // SparseLinkModel unit + property suite (DESIGN.md §13).
 //
 // Three contracts are pinned here: (a) with culling disabled every CSR row is
-// full and bitwise equal to the dense CachedLinkModel matrix, (b) with
-// culling enabled the model drops exactly the links below the configured
-// floor — survivors keep their dense bits — and (c) the culled power any
+// full, holds the per-link expression's exact bits, and is the row-major
+// matrix prepare() returns, (b) with culling enabled the model drops exactly
+// the links below the configured floor — survivors keep their unculled
+// bits — and (c) the culled power any
 // listener could lose is provably bounded: each culled link sits below the
 // floor, so the per-listener sum is below floor_mw * fan-in, which a
 // Config::bounded_influence margin keeps under the noise floor itself.
@@ -15,9 +16,9 @@
 
 #include "phy/link_model.hpp"
 #include "phy/propagation.hpp"
-#include "phy/sparse_link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
+#include "util/simd/simd.hpp"
 
 namespace dimmer::phy {
 namespace {
@@ -30,26 +31,34 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
     const int n = topo.size();
     const auto un = static_cast<std::size_t>(n);
 
-    CachedLinkModel dense(topo);
     SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
 
     for (double power : {0.0, -7.0, 3.0}) {
       SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-      LinkMatrixView want = dense.prepare(power);
       const SparseLinkView* got = sparse.prepare_sparse(power);
       ASSERT_NE(got, nullptr);
       ASSERT_EQ(got->n, n);
       ASSERT_EQ(got->nnz(), un * un);  // every link survives
+      ASSERT_TRUE(got->full_rows());
+      // The matrix view is the same array, read row-major.
+      LinkMatrixView matrix = sparse.prepare(power);
+      ASSERT_EQ(matrix.mw, got->mw);
+      ASSERT_EQ(matrix.n, n);
       for (NodeId tx = 0; tx < n; ++tx) {
-        const double* row = want.row(tx);
         const std::size_t begin = got->row_begin(tx);
         ASSERT_EQ(got->row_end(tx) - begin, un);
         for (NodeId rx = 0; rx < n; ++rx) {
           const std::size_t k = begin + static_cast<std::size_t>(rx);
           EXPECT_EQ(got->col[k], rx);  // full row, ascending listener ids
-          // Exact bits, not NEAR: same rx_power_dbm expression through the
-          // same dbm_to_mw_batch kernel.
-          EXPECT_EQ(got->mw[k], row[rx]) << "tx " << tx << " rx " << rx;
+          const double want = dbm_to_mw(topo.rx_power_dbm(tx, rx, power));
+          if (util::simd::native_width == 1) {
+            // Exact bits, not NEAR: the per-link expression the historical
+            // engine evaluated inline (DESIGN.md §12).
+            EXPECT_EQ(got->mw[k], want) << "tx " << tx << " rx " << rx;
+          } else {
+            EXPECT_NEAR(got->mw[k], want, std::abs(want) * 1e-13)
+                << "tx " << tx << " rx " << rx;
+          }
         }
       }
     }
@@ -141,25 +150,12 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
   }
 }
 
-TEST(SparseLinkModel, DenseFallbackMatchesCsrScatter) {
+TEST(SparseLinkModel, PrepareRequiresFullRows) {
+  // The row-major matrix view exists only when no link was culled.
   Topology topo = make_line_topology(48, 12.0);
-  const int n = topo.size();
   SparseLinkModel sparse(topo);
-  CachedLinkModel dense(topo);
-
-  LinkMatrixView got = sparse.prepare(0.0);
-  LinkMatrixView want = dense.prepare(0.0);
-  const double floor_dbm = sparse.cull_floor_dbm();
-  ASSERT_EQ(got.n, n);
-  for (NodeId tx = 0; tx < n; ++tx) {
-    for (NodeId rx = 0; rx < n; ++rx) {
-      if (topo.rx_power_dbm(tx, rx, 0.0) >= floor_dbm) {
-        EXPECT_EQ(got.row(tx)[rx], want.row(tx)[rx]);
-      } else {
-        EXPECT_EQ(got.row(tx)[rx], 0.0);  // culled entries read as exact zero
-      }
-    }
-  }
+  EXPECT_FALSE(sparse.prepare_sparse(0.0)->full_rows());
+  EXPECT_THROW((void)sparse.prepare(0.0), util::RequireError);
 }
 
 TEST(SparseLinkModel, CachesByPreparedPower) {

@@ -305,8 +305,7 @@ TEST(CulledTopology, SurvivorsBitIdenticalToDense) {
   Topology dense = make_campus_topology(n, seed);
   const double floor_db = gain_cull_floor_db(dense.radio(), 10.0);
   Topology culled = make_campus_topology_culled(n, seed, floor_db);
-  ASSERT_TRUE(culled.culled());
-  ASSERT_FALSE(dense.culled());
+  ASSERT_EQ(dense.gain_floor_db(), -std::numeric_limits<double>::infinity());
   EXPECT_EQ(culled.gain_floor_db(), floor_db);
   std::size_t survivors = 0;
   for (NodeId a = 0; a < n; ++a) {
@@ -331,9 +330,12 @@ TEST(CulledTopology, StorageShrinksAtScale) {
   Topology dense = make_campus_topology(n, 3);
   const double floor_db = gain_cull_floor_db(dense.radio(), 10.0);
   Topology culled = make_campus_topology_culled(n, 3, floor_db);
-  EXPECT_EQ(dense.gain_nnz(), static_cast<std::size_t>(n) * n);
+  const auto nn = static_cast<std::size_t>(n) * n;
+  EXPECT_EQ(dense.gain_nnz(), nn);
+  // Full CSR rows: n+1 offsets plus an id and a gain per stored entry.
   EXPECT_EQ(dense.gain_storage_bytes(),
-            static_cast<std::size_t>(n) * n * sizeof(double));
+            (static_cast<std::size_t>(n) + 1) * sizeof(std::size_t) +
+                nn * (sizeof(NodeId) + sizeof(double)));
   EXPECT_LT(culled.gain_nnz(), dense.gain_nnz() / 2);
   EXPECT_LT(culled.gain_storage_bytes(), dense.gain_storage_bytes() / 2);
 }
@@ -346,6 +348,32 @@ TEST(CulledTopology, MinusInfFloorKeepsEveryLink) {
   for (NodeId a = 0; a < 48; ++a)
     for (NodeId b = 0; b < 48; ++b)
       EXPECT_EQ(dense.gain_db(a, b), all.gain_db(a, b));
+}
+
+TEST(CulledTopology, GoodNeighborsAndHopsMatchUnculled) {
+  // A floor below the good-link threshold (at TX powers <= 0 dBm) only
+  // drops links good_neighbors would have rejected, so walking the stored
+  // rows gives the same adjacency (and therefore the same BFS) as the
+  // topology that keeps every link.
+  const int n = 300;
+  Topology all = make_campus_topology(n, 9);
+  const double floor_db = gain_cull_floor_db(all.radio(), 10.0);
+  ASSERT_LT(floor_db, all.radio().noise_floor_dbm +
+                          Topology::sinr_threshold_db(36, 0.1));
+  Topology culled = make_campus_topology_culled(n, 9, floor_db);
+  ASSERT_LT(culled.gain_nnz(), all.gain_nnz() / 2);
+  for (double power : {0.0, -7.0}) {
+    SCOPED_TRACE("power " + std::to_string(power));
+    const NeighborCsr want = all.good_neighbors(36, power);
+    const NeighborCsr got = culled.good_neighbors(36, power);
+    EXPECT_EQ(got.n, want.n);
+    EXPECT_EQ(got.row_ptr, want.row_ptr);
+    EXPECT_EQ(got.col, want.col);
+    for (NodeId root : {0, n / 2, n - 1})
+      EXPECT_EQ(culled.hop_counts(root, 36, power),
+                all.hop_counts(root, 36, power))
+          << "root " << root;
+  }
 }
 
 TEST(CulledTopology, RejectsNanFloor) {
@@ -419,9 +447,9 @@ TEST(RestrictedTopology, CulledParentInheritsCullState) {
   std::vector<NodeId> members;
   for (NodeId i = 0; i < 200; i += 7) members.push_back(i);
   Topology r = culled.restricted(members);
-  ASSERT_TRUE(r.culled());
   EXPECT_EQ(r.gain_floor_db(), floor_db);
   const int m = r.size();
+  EXPECT_LT(r.gain_nnz(), static_cast<std::size_t>(m) * m);
   for (int i = 0; i < m; ++i)
     for (int j = 0; j < m; ++j)
       EXPECT_EQ(r.gain_db(i, j),
