@@ -47,8 +47,9 @@ struct CellConfig {
   /// the cell coordinator). fault_plan node ids are cell-LOCAL: fault plans
   /// are authored against one cell's own timeline.
   ProtocolConfig protocol;
-  /// Back the flood engine with a SparseLinkModel over the cell topology
-  /// (city scale) instead of the dense per-cell CachedLinkModel.
+  /// Back the flood engine with a culling SparseLinkModel over the cell
+  /// topology (city scale) instead of the network's own CachedLinkModel,
+  /// which keeps every link the cell topology stores.
   bool sparse_links = false;
   /// This cell's round-start offset inside the federation round period.
   /// Neighboring cells get opposite parity offsets so a shared gateway is

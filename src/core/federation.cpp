@@ -90,11 +90,15 @@ Federation::Federation(const phy::Topology& topo,
     const int p = parent_[static_cast<std::size_t>(c)];
     double best = -std::numeric_limits<double>::infinity();
     phy::NodeId best_u = -1;
+    // Each child-stripe node's stored links into the parent stripe, in
+    // ascending (u, v) order; culled pairs are absent, as their -infinity
+    // gain could never win.
     for (phy::NodeId u : own[static_cast<std::size_t>(c)]) {
-      for (phy::NodeId v : own[static_cast<std::size_t>(p)]) {
-        const double g = topo.gain_db(u, v);
-        if (g > best) {
-          best = g;
+      const phy::LinkCsr::Row row = topo.gains().row(u);
+      for (std::size_t j = 0; j < row.size; ++j) {
+        if (cell_of_[static_cast<std::size_t>(row.col[j])] != p) continue;
+        if (row.val[j] > best) {
+          best = row.val[j];
           best_u = u;
         }
       }

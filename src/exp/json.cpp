@@ -21,30 +21,16 @@ using util::json_quote;
 std::string fmt(double v) { return json_number(v); }
 std::string quote(const std::string& s) { return json_quote(s); }
 
-void emit_stats(std::ostringstream& os, const util::RunningStats& s) {
-  os << "{\"count\": " << s.count() << ", \"mean\": " << fmt(s.mean())
-     << ", \"stddev\": " << fmt(s.stddev()) << ", \"min\": " << fmt(s.min())
-     << ", \"max\": " << fmt(s.max()) << "}";
-}
-
-template <typename Map, typename EmitValue>
-void emit_object(std::ostringstream& os, const Map& m, EmitValue&& ev) {
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) os << ", ";
-    first = false;
-    os << quote(k) << ": ";
-    ev(v);
-  }
-  os << "}";
-}
-
 }  // namespace
 
 std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
                     const JsonOptions& opt) {
   std::ostringstream os;
+  auto emit_stats = [&](const util::RunningStats& s) {
+    os << "{\"count\": " << s.count() << ", \"mean\": " << fmt(s.mean())
+       << ", \"stddev\": " << fmt(s.stddev()) << ", \"min\": " << fmt(s.min())
+       << ", \"max\": " << fmt(s.max()) << "}";
+  };
   os << "{\n  \"bench\": " << quote(bench) << ",\n  \"schema_version\": 1";
   if (opt.include_timing) {
     os << ",\n  \"jobs\": " << opt.jobs
@@ -58,11 +44,12 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
        << ", \"seed\": " << t.spec.seed;
     if (!t.spec.params.empty()) {
       os << ", \"params\": ";
-      emit_object(os, t.spec.params, [&](double v) { os << fmt(v); });
+      util::json_object(os, t.spec.params, [&](double v) { os << fmt(v); });
     }
     if (!t.spec.tags.empty()) {
       os << ", \"tags\": ";
-      emit_object(os, t.spec.tags, [&](const std::string& v) { os << quote(v); });
+      util::json_object(os, t.spec.tags,
+                        [&](const std::string& v) { os << quote(v); });
     }
     // Additive, optional key: fault-free benches render byte-identically to
     // builds that predate the fault subsystem.
@@ -71,15 +58,14 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
     os << ", \"ok\": " << (t.result.ok ? "true" : "false");
     if (!t.result.ok) os << ", \"error\": " << quote(t.result.error);
     os << ",\n     \"metrics\": ";
-    emit_object(os, t.result.metrics, [&](double v) { os << fmt(v); });
+    util::json_object(os, t.result.metrics, [&](double v) { os << fmt(v); });
     if (!t.result.stats.empty()) {
       os << ",\n     \"stats\": ";
-      emit_object(os, t.result.stats,
-                  [&](const util::RunningStats& s) { emit_stats(os, s); });
+      util::json_object(os, t.result.stats, emit_stats);
     }
     if (!t.result.series.empty()) {
       os << ",\n     \"series\": ";
-      emit_object(os, t.result.series, [&](const std::vector<double>& v) {
+      util::json_object(os, t.result.series, [&](const std::vector<double>& v) {
         os << "[";
         for (std::size_t j = 0; j < v.size(); ++j)
           os << (j ? ", " : "") << fmt(v[j]);
@@ -114,13 +100,11 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
     os << quote(sc) << ": {\"trials\": " << n_ok;
     if (!metric_acc.empty()) {
       os << ", \"metrics\": ";
-      emit_object(os, metric_acc,
-                  [&](const util::RunningStats& s) { emit_stats(os, s); });
+      util::json_object(os, metric_acc, emit_stats);
     }
     if (!stat_acc.empty()) {
       os << ", \"stats\": ";
-      emit_object(os, stat_acc,
-                  [&](const util::RunningStats& s) { emit_stats(os, s); });
+      util::json_object(os, stat_acc, emit_stats);
     }
     os << "}";
   }

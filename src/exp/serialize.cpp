@@ -5,36 +5,9 @@
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::exp {
-
-namespace {
-
-void emit_string_map(std::ostringstream& os,
-                     const std::map<std::string, std::string>& m) {
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    os << (first ? "" : ", ") << util::json_quote(k) << ": "
-       << util::json_quote(v);
-    first = false;
-  }
-  os << "}";
-}
-
-void emit_double_map(std::ostringstream& os,
-                     const std::map<std::string, double>& m) {
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    os << (first ? "" : ", ") << util::json_quote(k) << ": "
-       << util::json_number(v);
-    first = false;
-  }
-  os << "}";
-}
-
-}  // namespace
 
 std::string spec_to_json(const TrialSpec& spec) {
   std::ostringstream os;
@@ -42,11 +15,13 @@ std::string spec_to_json(const TrialSpec& spec) {
      << ", \"seed\": " << spec.seed;
   if (!spec.params.empty()) {
     os << ", \"params\": ";
-    emit_double_map(os, spec.params);
+    util::json_object(os, spec.params,
+                      [&](double v) { os << util::json_number(v); });
   }
   if (!spec.tags.empty()) {
     os << ", \"tags\": ";
-    emit_string_map(os, spec.tags);
+    util::json_object(os, spec.tags,
+                      [&](const std::string& v) { os << util::json_quote(v); });
   }
   if (!spec.fault_plan.empty())
     os << ", \"fault_plan\": " << fault::to_json(spec.fault_plan);
@@ -75,35 +50,29 @@ std::string result_to_json(const TrialResult& r) {
   os << ", \"wall_seconds\": " << util::json_number(r.wall_seconds);
   if (!r.metrics.empty()) {
     os << ", \"metrics\": ";
-    emit_double_map(os, r.metrics);
+    util::json_object(os, r.metrics,
+                      [&](double v) { os << util::json_number(v); });
   }
   if (!r.stats.empty()) {
-    os << ", \"stats\": {";
-    bool first = true;
-    for (const auto& [k, s] : r.stats) {
-      os << (first ? "" : ", ") << util::json_quote(k)
-         << ": {\"count\": " << s.count();
+    os << ", \"stats\": ";
+    util::json_object(os, r.stats, [&](const util::RunningStats& s) {
+      os << "{\"count\": " << s.count();
       if (s.count() > 0)
         os << ", \"mean\": " << util::json_number(s.mean())
            << ", \"m2\": " << util::json_number(s.m2())
            << ", \"min\": " << util::json_number(s.min())
            << ", \"max\": " << util::json_number(s.max());
       os << "}";
-      first = false;
-    }
-    os << "}";
+    });
   }
   if (!r.series.empty()) {
-    os << ", \"series\": {";
-    bool first = true;
-    for (const auto& [k, xs] : r.series) {
-      os << (first ? "" : ", ") << util::json_quote(k) << ": [";
+    os << ", \"series\": ";
+    util::json_object(os, r.series, [&](const std::vector<double>& xs) {
+      os << "[";
       for (std::size_t i = 0; i < xs.size(); ++i)
         os << (i ? ", " : "") << util::json_number(xs[i]);
       os << "]";
-      first = false;
-    }
-    os << "}";
+    });
   }
   if (!r.registry.empty()) os << ", \"registry\": " << r.registry.to_json();
   os << "}";
@@ -142,17 +111,8 @@ TrialResult result_from_value(const util::json::Value& v) {
   return r;
 }
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t spec_digest(const TrialSpec& spec) {
-  return fnv1a64(spec_to_json(spec));
+  return util::fnv1a64(spec_to_json(spec));
 }
 
 std::uint64_t specs_digest(const std::vector<TrialSpec>& specs) {

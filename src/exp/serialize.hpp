@@ -51,12 +51,9 @@ std::string result_to_json(const TrialResult& r);
 /// nulls json_number emits for non-finite values).
 TrialResult result_from_value(const util::json::Value& v);
 
-/// FNV-1a 64-bit over a byte string. Stable across platforms; used to
-/// fingerprint specs so a resumed campaign can prove the checkpoint it is
-/// replaying matches the spec matrix the journals were written against.
-std::uint64_t fnv1a64(const std::string& bytes);
-
-/// Digest of one spec: fnv1a64(spec_to_json(spec)).
+/// Digest of one spec: util::fnv1a64(spec_to_json(spec)). Stable across
+/// platforms, so a resumed campaign can prove the checkpoint it is replaying
+/// matches the spec matrix the journals were written against.
 std::uint64_t spec_digest(const TrialSpec& spec);
 
 /// Order-sensitive digest of a whole spec matrix (folds each spec's digest

@@ -136,9 +136,9 @@ void GlossyFlood::run_into(phy::NodeId initiator,
   // each transmitter's CSR row (DESIGN.md §13). Both visit every listener's
   // transmitters in the same ascending order, so the layout never changes a
   // result bit (tests/flood/test_sparse_differential.cpp).
-  const phy::SparseLinkView& links =
-      *links_->prepare_sparse(params.tx_power_dbm);
+  const phy::LinkCsr& links = *links_->prepare_sparse(params.tx_power_dbm);
   const bool full_rows = links.full_rows();
+  const double* link_mw = links.val.data();
 
   // Interference through the engine's view of its field (DESIGN.md §10):
   // the source->listener table is rebuilt only when the field changed, and
@@ -237,7 +237,7 @@ void GlossyFlood::run_into(phy::NodeId initiator,
       double* strongest = ws.strongest_mw.data();
       if (full_rows) {
         for (phy::NodeId tx : ws.transmitters) {
-          const double* row = links.mw + static_cast<std::size_t>(tx) * un;
+          const double* row = link_mw + static_cast<std::size_t>(tx) * un;
           // Lanewise add/max over the contiguous row, transmitters in the
           // same ascending order as the historical per-listener loop: exact
           // IEEE ops with no cross-lane reduction, so this site is
@@ -267,10 +267,10 @@ void GlossyFlood::run_into(phy::NodeId initiator,
         // linked transmitters with the exact adds/maxes the sweep would
         // perform — absent links are the only difference.
         for (phy::NodeId tx : ws.transmitters) {
-          const std::size_t row_end = links.row_end(tx);
-          for (std::size_t k = links.row_begin(tx); k < row_end; ++k) {
-            const double p_mw = links.mw[k];
-            const auto rx = static_cast<std::size_t>(links.col[k]);
+          const phy::LinkCsr::Row row = links.row(tx);
+          for (std::size_t k = 0; k < row.size; ++k) {
+            const double p_mw = row.val[k];
+            const auto rx = static_cast<std::size_t>(row.col[k]);
             total[rx] += p_mw;
             strongest[rx] = std::max(strongest[rx], p_mw);
           }

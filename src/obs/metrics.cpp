@@ -95,21 +95,6 @@ void MetricsRegistry::merge(const MetricsRegistry& o) {
   }
 }
 
-namespace {
-template <typename Map, typename EmitValue>
-void emit_object(std::ostringstream& os, const Map& m, EmitValue&& ev) {
-  os << "{";
-  bool first = true;
-  for (const auto& [k, v] : m) {
-    if (!first) os << ", ";
-    first = false;
-    os << util::json_quote(k) << ": ";
-    ev(v);
-  }
-  os << "}";
-}
-}  // namespace
-
 std::string MetricsRegistry::to_json() const {
   std::ostringstream os;
   os << "{";
@@ -121,15 +106,16 @@ std::string MetricsRegistry::to_json() const {
   };
   if (!counters_.empty()) {
     section("counters");
-    emit_object(os, counters_, [&](std::uint64_t v) { os << v; });
+    util::json_object(os, counters_, [&](std::uint64_t v) { os << v; });
   }
   if (!gauges_.empty()) {
     section("gauges");
-    emit_object(os, gauges_, [&](double v) { os << util::json_number(v); });
+    util::json_object(os, gauges_,
+                      [&](double v) { os << util::json_number(v); });
   }
   if (!histograms_.empty()) {
     section("histograms");
-    emit_object(os, histograms_, [&](const Histogram& h) {
+    util::json_object(os, histograms_, [&](const Histogram& h) {
       os << "{\"upper_bounds\": [";
       for (std::size_t i = 0; i < h.upper_bounds.size(); ++i)
         os << (i ? ", " : "") << util::json_number(h.upper_bounds[i]);

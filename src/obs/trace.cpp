@@ -13,18 +13,14 @@ std::string TraceEvent::to_jsonl() const {
   os << "{\"event\": " << util::json_quote(kind) << ", \"round\": " << round
      << ", \"t_us\": " << t_us << ", \"node\": " << node;
   if (!fields.empty()) {
-    os << ", \"fields\": {";
-    for (std::size_t i = 0; i < fields.size(); ++i)
-      os << (i ? ", " : "") << util::json_quote(fields[i].first) << ": "
-         << util::json_number(fields[i].second);
-    os << "}";
+    os << ", \"fields\": ";
+    util::json_object(os, fields,
+                      [&](double v) { os << util::json_number(v); });
   }
   if (!tags.empty()) {
-    os << ", \"tags\": {";
-    for (std::size_t i = 0; i < tags.size(); ++i)
-      os << (i ? ", " : "") << util::json_quote(tags[i].first) << ": "
-         << util::json_quote(tags[i].second);
-    os << "}";
+    os << ", \"tags\": ";
+    util::json_object(os, tags,
+                      [&](const std::string& v) { os << util::json_quote(v); });
   }
   os << "}";
   return os.str();

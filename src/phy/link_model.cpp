@@ -11,7 +11,7 @@ namespace dimmer::phy {
 LinkMatrixView LinkModel::prepare(double tx_power_dbm) {
   const SparseLinkView* v = prepare_sparse(tx_power_dbm);
   DIMMER_REQUIRE(v->full_rows(), "prepare() needs a view with full rows");
-  return LinkMatrixView{v->mw, v->n};
+  return LinkMatrixView{v->val.data(), v->rows()};
 }
 
 SparseLinkModel::Config SparseLinkModel::Config::no_culling() {
@@ -47,22 +47,18 @@ double SparseLinkModel::cull_floor_dbm() const {
   return topo_->radio().noise_floor_dbm - cfg_.cull_margin_db;
 }
 
-std::size_t SparseLinkModel::storage_bytes() const {
-  return row_ptr_.size() * sizeof(std::size_t) + col_.size() * sizeof(NodeId) +
-         mw_.size() * sizeof(double);
-}
-
 void SparseLinkModel::rebuild(double tx_power_dbm) {
   const int n = topo_->size();
   const auto un = static_cast<std::size_t>(n);
   const double floor_dbm = cull_floor_dbm();  // -inf when culling is disabled
 
-  row_ptr_.assign(un + 1, 0);
-  col_.clear();
-  mw_.clear();
+  links_.row_ptr.assign(1, 0);
+  links_.row_ptr.reserve(un + 1);
+  links_.col.clear();
+  links_.val.clear();
   // The topology's stored entries bound the survivors at any power.
-  col_.reserve(topo_->gain_nnz());
-  mw_.reserve(topo_->gain_nnz());
+  links_.col.reserve(topo_->gain_nnz());
+  links_.val.reserve(topo_->gain_nnz());
   keep_dbm_.resize(un);
 
   for (NodeId tx = 0; tx < n; ++tx) {
@@ -70,22 +66,20 @@ void SparseLinkModel::rebuild(double tx_power_dbm) {
     // the batch dBm->mW kernel. The kernel is lanewise pure (DESIGN.md §12),
     // so a survivor's mW bits do not depend on which other listeners sit
     // beside it in the batch.
-    const Topology::GainRow row = topo_->gain_row(tx);
+    const LinkCsr::Row row = topo_->gains().row(tx);
     int kept = 0;
     for (std::size_t k = 0; k < row.size; ++k) {
-      const double dbm = tx_power_dbm + row.gain_db[k];
+      const double dbm = tx_power_dbm + row.val[k];
       if (dbm >= floor_dbm) {
-        col_.push_back(row.col[k]);
+        links_.col.push_back(row.col[k]);
         keep_dbm_[static_cast<std::size_t>(kept++)] = dbm;
       }
     }
-    const std::size_t base = mw_.size();
-    mw_.resize(base + static_cast<std::size_t>(kept));
-    dbm_to_mw_batch(keep_dbm_.data(), mw_.data() + base, kept);
-    row_ptr_[static_cast<std::size_t>(tx) + 1] = mw_.size();
+    const std::size_t base = links_.val.size();
+    links_.val.resize(base + static_cast<std::size_t>(kept));
+    dbm_to_mw_batch(keep_dbm_.data(), links_.val.data() + base, kept);
+    links_.close_row();
   }
-
-  view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
 }
 
 const SparseLinkView* SparseLinkModel::prepare_sparse(double tx_power_dbm) {
@@ -99,7 +93,7 @@ const SparseLinkView* SparseLinkModel::prepare_sparse(double tx_power_dbm) {
     valid_ = true;
     ++rebuilds_;
   }
-  return &view_;
+  return &links_;
 }
 
 }  // namespace dimmer::phy

@@ -17,7 +17,7 @@
 // CachedLinkModel is the same builder with culling disabled, so its rows are
 // full. The seam also decouples the flood engine from the Topology class
 // itself: alternate backends (trace-driven gains, time-varying channels)
-// only need to produce a SparseLinkView.
+// only need to fill a LinkCsr.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@
 namespace dimmer::phy {
 
 /// Non-owning view of a row-major n*n linear-domain (mW) link-power matrix:
-/// the mw array of a SparseLinkView whose rows are full (see
+/// the val array of a SparseLinkView whose rows are full (see
 /// LinkModel::prepare). Valid until the next prepare call on (or destruction
 /// of) the model that produced it.
 struct LinkMatrixView {
@@ -40,33 +40,16 @@ struct LinkMatrixView {
   }
 };
 
-/// Non-owning CSR view of a link-power matrix: per transmitter, the links
-/// its backend stores, as parallel (col, mw) arrays. Listener ids are
-/// strictly ascending within a row, and every stored power is positive
-/// (dbm_to_mw never produces 0 for a finite dBm value) — the flood engine
-/// relies on both to keep its per-listener accumulation order identical
-/// across layouts and to use "accumulated power == 0.0" as "no stored link
-/// reaches this listener". When every row is full (nnz == n*n), `mw` is the
-/// row-major n*n matrix. Valid until the next prepare call on the model.
-struct SparseLinkView {
-  const std::size_t* row_ptr = nullptr;  ///< n+1 offsets into col/mw
-  const NodeId* col = nullptr;           ///< listener ids, ascending per row
-  const double* mw = nullptr;            ///< received powers, parallel to col
-  int n = 0;
-
-  std::size_t nnz() const {
-    return row_ptr == nullptr ? 0 : row_ptr[static_cast<std::size_t>(n)];
-  }
-  bool full_rows() const {
-    return nnz() == static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  }
-  std::size_t row_begin(NodeId tx) const {
-    return row_ptr[static_cast<std::size_t>(tx)];
-  }
-  std::size_t row_end(NodeId tx) const {
-    return row_ptr[static_cast<std::size_t>(tx) + 1];
-  }
-};
+/// The CSR link powers a LinkModel hands the flood engine: per transmitter,
+/// the links its backend stores, as parallel (col, val = mW) arrays.
+/// Listener ids are strictly ascending within a row, and every stored power
+/// is positive (dbm_to_mw never produces 0 for a finite dBm value) — the
+/// flood engine relies on both to keep its per-listener accumulation order
+/// identical across layouts and to use "accumulated power == 0.0" as "no
+/// stored link reaches this listener". When every row is full (nnz == n*n),
+/// `val` is the row-major n*n matrix. Valid until the next prepare call on
+/// the model.
+using SparseLinkView = LinkCsr;
 
 /// Interface the flood engine consumes instead of poking Topology directly.
 ///
@@ -132,7 +115,7 @@ class SparseLinkModel : public LinkModel {
   /// Default config: the 20 dB culling margin.
   explicit SparseLinkModel(const Topology& topo);
   SparseLinkModel(const Topology& topo, Config cfg);
-  // The view points into this object's own arrays.
+  // prepare_sparse hands out a pointer to this object's own table.
   SparseLinkModel(const SparseLinkModel&) = delete;
   SparseLinkModel& operator=(const SparseLinkModel&) = delete;
 
@@ -147,22 +130,19 @@ class SparseLinkModel : public LinkModel {
   double cull_floor_dbm() const;
 
   /// Survived-link count of the last prepared view (0 before any prepare).
-  std::size_t nnz() const { return mw_.size(); }
+  std::size_t nnz() const { return links_.nnz(); }
 
-  /// Bytes held by the CSR arrays (row_ptr + col + mw) — the number the
+  /// Bytes held by the CSR arrays (row_ptr + col + val) — the number the
   /// scale bench reports against the dense 8*N^2.
-  std::size_t storage_bytes() const;
+  std::size_t storage_bytes() const { return links_.bytes(); }
 
  private:
   void rebuild(double tx_power_dbm);
 
   const Topology* topo_;
   Config cfg_;
-  std::vector<std::size_t> row_ptr_;  // n+1 offsets
-  std::vector<NodeId> col_;           // nnz listener ids
-  std::vector<double> mw_;            // nnz received powers
-  std::vector<double> keep_dbm_;      // rebuild scratch: one row's survivors
-  SparseLinkView view_;
+  LinkCsr links_;                 // received powers in mW
+  std::vector<double> keep_dbm_;  // rebuild scratch: one row's survivors
   double cached_power_dbm_ = 0.0;
   bool valid_ = false;
   int rebuilds_ = 0;

@@ -53,26 +53,23 @@ Topology::Topology(std::vector<Vec2> positions, PathLossModel model,
   DIMMER_REQUIRE(!std::isnan(gain_floor_db), "gain_floor_db must not be NaN");
   const int n = size();
   const auto un = static_cast<std::size_t>(n);
-  row_ptr_.assign(un + 1, 0);
+  gain_.row_ptr.reserve(un + 1);
   // Full rows without a floor, else a typical mesh survivor count: rows
   // append without a dense intermediate, so a culled topology's peak memory
   // is O(nnz), never O(N^2).
   const std::size_t expect =
       gain_floor_db == -std::numeric_limits<double>::infinity() ? un * un
                                                                  : un * 16;
-  col_.reserve(expect);
-  cgain_.reserve(expect);
+  gain_.col.reserve(expect);
+  gain_.val.reserve(expect);
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
       // The diagonal (0.0 self-gain) always survives; NaN floors are
       // rejected above so `>=` is a total predicate.
       const double g = pair_gain(a, b);
-      if (a == b || g >= gain_floor_db) {
-        col_.push_back(b);
-        cgain_.push_back(g);
-      }
+      if (a == b || g >= gain_floor_db) gain_.push(b, g);
     }
-    row_ptr_[static_cast<std::size_t>(a) + 1] = col_.size();
+    gain_.close_row();
   }
 }
 
@@ -81,27 +78,15 @@ Vec2 Topology::position(NodeId n) const {
   return positions_[static_cast<std::size_t>(n)];
 }
 
-std::size_t Topology::gain_storage_bytes() const {
-  return row_ptr_.size() * sizeof(std::size_t) + col_.size() * sizeof(NodeId) +
-         cgain_.size() * sizeof(double);
-}
-
-Topology::GainRow Topology::gain_row(NodeId tx) const {
-  DIMMER_DEBUG_ASSERT(tx >= 0 && tx < size(), "node id out of range");
-  const std::size_t begin = row_ptr_[static_cast<std::size_t>(tx)];
-  return GainRow{col_.data() + begin, cgain_.data() + begin,
-                 row_ptr_[static_cast<std::size_t>(tx) + 1] - begin};
-}
-
 double Topology::gain_db(NodeId tx, NodeId rx) const {
   DIMMER_DEBUG_ASSERT(tx >= 0 && tx < size() && rx >= 0 && rx < size(),
                       "node id out of range");
   // CSR row binary search; a culled pair is a link that does not exist.
-  const GainRow row = gain_row(tx);
+  const LinkCsr::Row row = gain_.row(tx);
   const NodeId* end = row.col + row.size;
   const NodeId* it = std::lower_bound(row.col, end, rx);
   if (it == end || *it != rx) return -std::numeric_limits<double>::infinity();
-  return row.gain_db[it - row.col];
+  return row.val[it - row.col];
 }
 
 double Topology::rx_power_dbm(NodeId tx, NodeId rx,
@@ -152,16 +137,15 @@ Topology::Topology(RestrictedTag, const Topology& parent,
   // Copy the member rows' stored entries bit-for-bit; ascending parent ids
   // map to ascending local ids, and a pair culled in the parent stays
   // culled here.
-  row_ptr_.assign(static_cast<std::size_t>(m) + 1, 0);
+  gain_.row_ptr.reserve(static_cast<std::size_t>(m) + 1);
   for (NodeId a = 0; a < m; ++a) {
-    const GainRow row = parent.gain_row(members[static_cast<std::size_t>(a)]);
+    const LinkCsr::Row row =
+        parent.gain_.row(members[static_cast<std::size_t>(a)]);
     for (std::size_t k = 0; k < row.size; ++k) {
       const NodeId b = local[static_cast<std::size_t>(row.col[k])];
-      if (b < 0) continue;
-      col_.push_back(b);
-      cgain_.push_back(row.gain_db[k]);
+      if (b >= 0) gain_.push(b, row.val[k]);
     }
-    row_ptr_[static_cast<std::size_t>(a) + 1] = col_.size();
+    gain_.close_row();
   }
 }
 
@@ -199,60 +183,34 @@ double Topology::sinr_threshold_db(int frame_bytes, double target_per) {
   return hi;
 }
 
-NeighborCsr Topology::good_neighbors(int frame_bytes,
-                                     double tx_power_dbm) const {
-  const int n = size();
+std::vector<int> Topology::hop_counts(NodeId root, int frame_bytes,
+                                      double tx_power_dbm) const {
+  DIMMER_REQUIRE(root >= 0 && root < size(), "node id out of range");
   const double need_dbm =
       radio_.noise_floor_dbm + sinr_threshold_db(frame_bytes, 0.1);
-  NeighborCsr adj;
-  adj.n = n;
-  adj.row_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  adj.col.reserve(static_cast<std::size_t>(n) * 8);  // typical mesh degree
-  for (NodeId u = 0; u < n; ++u) {
-    // Culled pairs are absent from the row: their -infinity gain could never
-    // clear the threshold anyway.
-    const GainRow row = gain_row(u);
-    for (std::size_t k = 0; k < row.size; ++k) {
-      if (row.col[k] == u) continue;
-      if (tx_power_dbm + row.gain_db[k] >= need_dbm)
-        adj.col.push_back(row.col[k]);
-    }
-    adj.row_ptr[static_cast<std::size_t>(u) + 1] = adj.col.size();
-  }
-  return adj;
-}
-
-std::vector<int> Topology::hop_counts_from(NodeId root,
-                                           const NeighborCsr& adj) const {
-  DIMMER_REQUIRE(root >= 0 && root < size(), "node id out of range");
-  DIMMER_REQUIRE(adj.n == size(), "adjacency built for another topology size");
   std::vector<int> hops(static_cast<std::size_t>(size()), -1);
-  // BFS over the CSR rows. The frontier is a plain vector consumed front to
-  // back (never reallocated past n); neighbors are stored ascending per row,
-  // so discovery order — and therefore every hop count — matches the
-  // historical dense BFS that scanned all N nodes per dequeue.
+  // BFS over the stored gain rows. The frontier is a plain vector consumed
+  // front to back (never reallocated past n); columns are stored ascending
+  // per row, so discovery order — and therefore every hop count — matches
+  // the historical dense BFS that scanned all N nodes per dequeue. Culled
+  // pairs are absent from the rows: their -infinity gain could never clear
+  // the threshold anyway.
   std::vector<NodeId> frontier;
   frontier.reserve(static_cast<std::size_t>(size()));
   hops[static_cast<std::size_t>(root)] = 0;
   frontier.push_back(root);
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const NodeId u = frontier[head];
-    const std::size_t end = adj.row_ptr[static_cast<std::size_t>(u) + 1];
-    for (std::size_t k = adj.row_ptr[static_cast<std::size_t>(u)]; k < end;
-         ++k) {
-      const NodeId v = adj.col[k];
+    const LinkCsr::Row row = gain_.row(u);
+    for (std::size_t k = 0; k < row.size; ++k) {
+      const NodeId v = row.col[k];
       if (hops[static_cast<std::size_t>(v)] >= 0) continue;
+      if (tx_power_dbm + row.val[k] < need_dbm) continue;
       hops[static_cast<std::size_t>(v)] = hops[static_cast<std::size_t>(u)] + 1;
       frontier.push_back(v);
     }
   }
   return hops;
-}
-
-std::vector<int> Topology::hop_counts(NodeId root, int frame_bytes,
-                                      double tx_power_dbm) const {
-  DIMMER_REQUIRE(root >= 0 && root < size(), "node id out of range");
-  return hop_counts_from(root, good_neighbors(frame_bytes, tx_power_dbm));
 }
 
 // ---- Factories -----------------------------------------------------------

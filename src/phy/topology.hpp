@@ -12,23 +12,57 @@
 
 #include "phy/geometry.hpp"
 #include "phy/propagation.hpp"
+#include "util/check.hpp"
 
 namespace dimmer::phy {
 
 using NodeId = int;
 
-/// CSR adjacency over "good" links (see Topology::good_neighbors): per node,
-/// the neighbors it can reach with clean-SNR PER below the builder's target.
-/// Neighbor ids are strictly ascending within a row and never include the
-/// node itself. Symmetric by construction (links are reciprocal).
-struct NeighborCsr {
-  std::vector<std::size_t> row_ptr;  ///< n+1 offsets into col
-  std::vector<NodeId> col;           ///< neighbor ids
-  int n = 0;
+/// The one CSR link table: per row (a transmitter), the column ids it links
+/// to (listeners, strictly ascending) and one value per link, in parallel
+/// arrays. Topology stores its dB gains in one; SparseLinkModel stores the
+/// received mW powers of one TX power in another.
+struct LinkCsr {
+  std::vector<std::size_t> row_ptr{0};  ///< rows()+1 offsets into col/val
+  std::vector<NodeId> col;              ///< column ids, ascending per row
+  std::vector<double> val;              ///< values, parallel to col
 
-  std::size_t degree(NodeId u) const {
-    return row_ptr[static_cast<std::size_t>(u) + 1] -
-           row_ptr[static_cast<std::size_t>(u)];
+  /// One stored row: parallel (col, val) arrays. Columns absent from the
+  /// row are links the builder dropped.
+  struct Row {
+    const NodeId* col;
+    const double* val;
+    std::size_t size;
+  };
+
+  int rows() const { return static_cast<int>(row_ptr.size() - 1); }
+  std::size_t nnz() const { return col.size(); }
+  /// Bytes held by the three arrays.
+  std::size_t bytes() const {
+    return row_ptr.size() * sizeof(std::size_t) + col.size() * sizeof(NodeId) +
+           val.size() * sizeof(double);
+  }
+  /// Every row holds every column (nnz == rows^2): `val` is then the
+  /// row-major rows x rows matrix.
+  bool full_rows() const {
+    const auto n = static_cast<std::size_t>(rows());
+    return nnz() == n * n;
+  }
+
+  /// Appends one entry to the open row; columns must ascend.
+  void push(NodeId c, double v) {
+    col.push_back(c);
+    val.push_back(v);
+  }
+  /// Closes the open row.
+  void close_row() { row_ptr.push_back(col.size()); }
+
+  /// Row `r`; debug-only bounds check.
+  Row row(NodeId r) const {
+    DIMMER_DEBUG_ASSERT(r >= 0 && r < rows(), "row out of range");
+    const std::size_t begin = row_ptr[static_cast<std::size_t>(r)];
+    return Row{col.data() + begin, val.data() + begin,
+               row_ptr[static_cast<std::size_t>(r) + 1] - begin};
   }
 };
 
@@ -58,27 +92,20 @@ class Topology {
 
   /// The culling floor (-infinity when every link is kept).
   double gain_floor_db() const { return gain_floor_db_; }
+  /// The gains in dB as CSR rows, one per transmitter, listener ids
+  /// ascending, diagonal (0.0) included. Pairs absent from a row were culled.
+  const LinkCsr& gains() const { return gain_; }
   /// Stored gain entries (diagonal included); N^2 when nothing was culled.
-  std::size_t gain_nnz() const { return cgain_.size(); }
+  std::size_t gain_nnz() const { return gain_.nnz(); }
   /// Bytes held by the CSR gain arrays — the number bench_flood_scale
   /// reports against a dense 8*N^2 matrix.
-  std::size_t gain_storage_bytes() const;
-
-  /// One stored row: parallel (listener id, gain) arrays, ids strictly
-  /// ascending. Pairs absent from the row were culled.
-  struct GainRow {
-    const NodeId* col = nullptr;
-    const double* gain_db = nullptr;
-    std::size_t size = 0;
-  };
-  /// The stored row of `tx`; debug-only bounds check, like gain_db.
-  GainRow gain_row(NodeId tx) const;
+  std::size_t gain_storage_bytes() const { return gain_.bytes(); }
 
   /// Link gain in dB between two nodes (path loss + static shadowing, < 0).
   /// Bounds are checked in debug builds only — callers are expected to
   /// validate node ids at their own API boundary. A binary search within
   /// the CSR row; culled pairs return -infinity. Bulk consumers walk
-  /// gain_row instead.
+  /// gains() rows instead.
   double gain_db(NodeId tx, NodeId rx) const;
 
   /// Received power in dBm at `rx` for a transmission from `tx`. Same
@@ -108,24 +135,11 @@ class Topology {
   /// itself otherwise. Composes across nested restrictions.
   NodeId parent_id(NodeId n) const;
 
-  /// CSR neighbor lists over "good" links (clean-SNR PER below 10% for
-  /// `frame_bytes` at `tx_power_dbm`). Built in one pass over the stored
-  /// gain rows; reuse the result across hop_counts_from calls when querying
-  /// many roots of the same topology.
-  NeighborCsr good_neighbors(int frame_bytes = 36,
-                             double tx_power_dbm = 0.0) const;
-
   /// BFS hop counts from `root` over "good" links (clean-SNR PER below 10%
-  /// for `frame_bytes`). Unreachable nodes get -1. One-shot convenience
-  /// over good_neighbors + hop_counts_from.
+  /// for `frame_bytes` at `tx_power_dbm`), walking the stored gain rows:
+  /// O(N + nnz). Unreachable nodes get -1.
   std::vector<int> hop_counts(NodeId root, int frame_bytes = 36,
                               double tx_power_dbm = 0.0) const;
-
-  /// BFS hop counts over a prebuilt adjacency: O(N + E) per root instead of
-  /// the O(N) scan per dequeue the dense BFS paid — the difference between
-  /// usable and unusable topology factories past a few hundred nodes.
-  /// Identical output to hop_counts for the same (frame_bytes, power).
-  std::vector<int> hop_counts_from(NodeId root, const NeighborCsr& adj) const;
 
   /// Smallest SINR (dB) with per_802154(sinr, frame_bytes) <= target_per.
   /// Memoized per thread: the 60-iteration bisection runs once per distinct
@@ -147,12 +161,8 @@ class Topology {
   RadioConstants radio_;
   std::uint64_t shadow_seed_;
 
-  // CSR gain storage: survivors per row, ascending column ids, parallel
-  // gain values.
   double gain_floor_db_ = -std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> row_ptr_;  // n+1 offsets
-  std::vector<NodeId> col_;
-  std::vector<double> cgain_;
+  LinkCsr gain_;
 
   // restricted(): local -> parent node ids (empty = identity).
   std::vector<NodeId> parent_ids_;

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 namespace dimmer::util {
@@ -42,6 +43,21 @@ inline std::string json_quote(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+/// Writes `{"k": v, ...}` to `os` over a range of (key, value) pairs, in
+/// range order; `emit_value(v)` writes each value.
+template <typename Pairs, typename EmitValue>
+void json_object(std::ostream& os, const Pairs& pairs, EmitValue&& emit_value) {
+  os << "{";
+  bool first = true;
+  for (const auto& [k, v] : pairs) {
+    if (!first) os << ", ";
+    first = false;
+    os << json_quote(k) << ": ";
+    emit_value(v);
+  }
+  os << "}";
 }
 
 }  // namespace dimmer::util

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -31,6 +32,17 @@ constexpr std::uint64_t hash_u64(std::uint64_t a, std::uint64_t b) {
 constexpr std::uint64_t hash_u64(std::uint64_t a, std::uint64_t b,
                                  std::uint64_t c) {
   return hash_u64(hash_u64(a, b), c);
+}
+
+/// FNV-1a 64-bit over a byte string: a stable, platform-independent digest
+/// (campaign spec fingerprints, dimmer-lint baseline keys).
+constexpr std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 /// Uniform double in [0,1) as a pure function of a hash input.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -61,6 +62,39 @@ TEST(FederationPartition, DeterministicAndStructurallySound) {
     EXPECT_NE(a.cell(c).schedule_offset(), a.cell(p).schedule_offset());
     // The child's uplink: its protocol sink is the gateway (local id).
     EXPECT_EQ(a.cell(c).network().sink(), a.cell(c).to_local(g));
+  }
+}
+
+/// Each gateway is the child-side end of the strongest stored link into the
+/// parent stripe: a brute-force gain_db scan over every (child, parent)
+/// pair, ascending with a strict `>`, picks the same node on a culled
+/// topology, where most cross-stripe pairs read -infinity.
+TEST(FederationPartition, GatewaysMatchBruteForceGainScan) {
+  phy::Topology probe = phy::make_campus_topology(4, 3);
+  phy::Topology topo = phy::make_campus_topology_culled(
+      120, 3, phy::gain_cull_floor_db(probe.radio(), 10.0));
+  ASSERT_FALSE(topo.gains().full_rows());
+  phy::InterferenceField field;
+  FederationConfig fc = small_cfg(4);
+  fc.sparse_links = true;
+  Federation fed(topo, field, fc, static_factory(3), 7);
+  for (int c = 0; c < fed.cell_count(); ++c) {
+    if (c == fed.root()) continue;
+    const int p = fed.parent(c);
+    double best = -std::numeric_limits<double>::infinity();
+    phy::NodeId want = -1;
+    for (phy::NodeId u = 0; u < topo.size(); ++u) {
+      if (fed.cell_of(u) != c) continue;
+      for (phy::NodeId v = 0; v < topo.size(); ++v) {
+        if (fed.cell_of(v) != p) continue;
+        if (topo.gain_db(u, v) > best) {
+          best = topo.gain_db(u, v);
+          want = u;
+        }
+      }
+    }
+    ASSERT_GE(want, 0) << "cell " << c;
+    EXPECT_EQ(fed.gateway(c), want) << "cell " << c;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "exp/serialize.hpp"
 #include "util/check.hpp"
 #include "util/json_parse.hpp"
+#include "util/rng.hpp"
 
 using dimmer::exp::result_from_value;
 using dimmer::exp::result_to_json;
@@ -124,9 +125,9 @@ TEST(Serialize, NonFiniteMetricFailsReplayLoudly) {
 TEST(Serialize, DigestIsStableAndOrderSensitive) {
   // Pinned value: a silent serialization change must fail this test, because
   // it would orphan every existing campaign checkpoint.
-  EXPECT_EQ(dimmer::exp::fnv1a64(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(dimmer::exp::fnv1a64("dimmer"), dimmer::exp::fnv1a64("dimmer"));
-  EXPECT_NE(dimmer::exp::fnv1a64("dimmer"), dimmer::exp::fnv1a64("dimmeR"));
+  EXPECT_EQ(dimmer::util::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(dimmer::util::fnv1a64("dimmer"), dimmer::util::fnv1a64("dimmer"));
+  EXPECT_NE(dimmer::util::fnv1a64("dimmer"), dimmer::util::fnv1a64("dimmeR"));
 
   TrialSpec a = full_spec();
   TrialSpec b;

@@ -100,26 +100,18 @@ class UniformLinkModel final : public LinkModel {
  public:
   UniformLinkModel(const Topology& topo, double mw) : topo_(&topo) {
     const int n = topo.size();
-    row_ptr_.push_back(0);
     for (NodeId tx = 0; tx < n; ++tx) {
-      for (NodeId rx = 0; rx < n; ++rx) {
-        if (rx == tx) continue;
-        col_.push_back(rx);
-        mw_.push_back(mw);
-      }
-      row_ptr_.push_back(col_.size());
+      for (NodeId rx = 0; rx < n; ++rx)
+        if (rx != tx) links_.push(rx, mw);
+      links_.close_row();
     }
-    view_ = SparseLinkView{row_ptr_.data(), col_.data(), mw_.data(), n};
   }
   const Topology& topology() const override { return *topo_; }
-  const SparseLinkView* prepare_sparse(double) override { return &view_; }
+  const SparseLinkView* prepare_sparse(double) override { return &links_; }
 
  private:
   const Topology* topo_;
-  std::vector<std::size_t> row_ptr_;
-  std::vector<NodeId> col_;
-  std::vector<double> mw_;
-  SparseLinkView view_;
+  LinkCsr links_;
 };
 
 TEST(LinkModel, CustomBackendDrivesFloodEngine) {

@@ -37,26 +37,26 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
       SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
       const SparseLinkView* got = sparse.prepare_sparse(power);
       ASSERT_NE(got, nullptr);
-      ASSERT_EQ(got->n, n);
+      ASSERT_EQ(got->rows(), n);
       ASSERT_EQ(got->nnz(), un * un);  // every link survives
       ASSERT_TRUE(got->full_rows());
       // The matrix view is the same array, read row-major.
       LinkMatrixView matrix = sparse.prepare(power);
-      ASSERT_EQ(matrix.mw, got->mw);
+      ASSERT_EQ(matrix.mw, got->val.data());
       ASSERT_EQ(matrix.n, n);
       for (NodeId tx = 0; tx < n; ++tx) {
-        const std::size_t begin = got->row_begin(tx);
-        ASSERT_EQ(got->row_end(tx) - begin, un);
+        const LinkCsr::Row row = got->row(tx);
+        ASSERT_EQ(row.size, un);
         for (NodeId rx = 0; rx < n; ++rx) {
-          const std::size_t k = begin + static_cast<std::size_t>(rx);
-          EXPECT_EQ(got->col[k], rx);  // full row, ascending listener ids
+          const auto k = static_cast<std::size_t>(rx);
+          EXPECT_EQ(row.col[k], rx);  // full row, ascending listener ids
           const double want = dbm_to_mw(topo.rx_power_dbm(tx, rx, power));
           if (util::simd::native_width == 1) {
             // Exact bits, not NEAR: the per-link expression the historical
             // engine evaluated inline (DESIGN.md §12).
-            EXPECT_EQ(got->mw[k], want) << "tx " << tx << " rx " << rx;
+            EXPECT_EQ(row.val[k], want) << "tx " << tx << " rx " << rx;
           } else {
-            EXPECT_NEAR(got->mw[k], want, std::abs(want) * 1e-13)
+            EXPECT_NEAR(row.val[k], want, std::abs(want) * 1e-13)
                 << "tx " << tx << " rx " << rx;
           }
         }
@@ -83,23 +83,23 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
   ASSERT_GT(sparse.nnz(), 0u);
 
   for (NodeId tx = 0; tx < n; ++tx) {
-    std::size_t k = view->row_begin(tx);
-    const std::size_t end = view->row_end(tx);
+    const LinkCsr::Row row = view->row(tx);
+    std::size_t k = 0;
     NodeId prev = -1;
     for (NodeId rx = 0; rx < n; ++rx) {
-      const bool kept = k < end && view->col[k] == rx;
+      const bool kept = k < row.size && row.col[k] == rx;
       if (topo.rx_power_dbm(tx, rx, power) >= floor_dbm) {
         ASSERT_TRUE(kept) << "survivor culled: tx " << tx << " rx " << rx;
-        EXPECT_GT(view->col[k], prev);  // ascending within the row
-        EXPECT_GT(view->mw[k], 0.0);
-        EXPECT_EQ(view->mw[k], want.row(tx)[rx]);  // dense bits preserved
-        prev = view->col[k];
+        EXPECT_GT(row.col[k], prev);  // ascending within the row
+        EXPECT_GT(row.val[k], 0.0);
+        EXPECT_EQ(row.val[k], want.row(tx)[rx]);  // dense bits preserved
+        prev = row.col[k];
         ++k;
       } else {
         ASSERT_FALSE(kept) << "sub-floor link kept: tx " << tx << " rx " << rx;
       }
     }
-    EXPECT_EQ(k, end);  // no stray entries beyond the scanned listeners
+    EXPECT_EQ(k, row.size);  // no stray entries beyond the scanned listeners
   }
 }
 
@@ -130,10 +130,10 @@ TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
 
     std::vector<double> culled_sum(static_cast<std::size_t>(n), 0.0);
     for (NodeId tx = 0; tx < n; ++tx) {
-      std::size_t k = view->row_begin(tx);
-      const std::size_t end = view->row_end(tx);
+      const LinkCsr::Row row = view->row(tx);
+      std::size_t k = 0;
       for (NodeId rx = 0; rx < n; ++rx) {
-        if (k < end && view->col[k] == rx) {
+        if (k < row.size && row.col[k] == rx) {
           ++k;  // survivor
           continue;
         }

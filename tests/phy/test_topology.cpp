@@ -173,11 +173,11 @@ TEST_P(TopologyDistanceProperty, GainDecaysWithDistanceOnAverage) {
 INSTANTIATE_TEST_SUITE_P(Factories, TopologyDistanceProperty,
                          ::testing::Values(0, 1, 2));
 
-// ---- CSR adjacency + campus factory ------------------------------------
+// ---- CSR gain rows + campus factory ------------------------------------
 
 // The historical dense BFS, kept verbatim as the reference: scan all N
 // candidate neighbors per dequeued node against the clean-SNR link
-// predicate. hop_counts_from over good_neighbors must reproduce it exactly.
+// predicate. hop_counts over the stored gain rows must reproduce it exactly.
 std::vector<int> dense_reference_hops(const Topology& t, NodeId root,
                                       int frame_bytes, double tx_power_dbm) {
   const double need_dbm =
@@ -199,62 +199,59 @@ std::vector<int> dense_reference_hops(const Topology& t, NodeId root,
   return hops;
 }
 
-TEST(NeighborCsrTest, HopCountsMatchDenseReferenceBfs) {
-  const Topology topos[] = {make_line_topology(8, 12.0),
-                            make_grid_topology(4, 4, 10.0),
-                            make_office18_topology(), make_dcube48_topology(),
-                            make_campus_topology(90)};
+TEST(Topology, HopCountsMatchDenseReferenceBfs) {
+  const Topology campus = make_campus_topology(90);
+  const Topology topos[] = {
+      make_line_topology(8, 12.0), make_grid_topology(4, 4, 10.0),
+      make_office18_topology(), make_dcube48_topology(), campus,
+      // Culled below the good-link threshold: the reference BFS reads the
+      // culled pairs as -infinity, the row walk never sees them.
+      make_campus_topology_culled(90, 1,
+                                  gain_cull_floor_db(campus.radio(), 10.0))};
   for (const Topology& t : topos) {
-    SCOPED_TRACE("n=" + std::to_string(t.size()));
-    for (double power : {0.0, -7.0}) {
-      NeighborCsr adj = t.good_neighbors(36, power);
-      for (NodeId root : {0, t.size() / 2, t.size() - 1}) {
-        EXPECT_EQ(t.hop_counts_from(root, adj),
+    SCOPED_TRACE("n=" + std::to_string(t.size()) +
+                 " nnz=" + std::to_string(t.gain_nnz()));
+    for (double power : {0.0, -7.0})
+      for (NodeId root : {0, t.size() / 2, t.size() - 1})
+        EXPECT_EQ(t.hop_counts(root, 36, power),
                   dense_reference_hops(t, root, 36, power))
             << "root " << root << " power " << power;
-        // The one-shot convenience must agree with the prebuilt-CSR path.
-        EXPECT_EQ(t.hop_counts(root, 36, power),
-                  t.hop_counts_from(root, adj));
+  }
+}
+
+TEST(Topology, GainRowsAscendReciprocallyWithDiagonal) {
+  const Topology dense = make_dcube48_topology();
+  const Topology culled = make_campus_topology_culled(
+      200, 4, gain_cull_floor_db(dense.radio(), 10.0));
+  for (const Topology* t : {&dense, &culled}) {
+    const LinkCsr& g = t->gains();
+    ASSERT_EQ(g.rows(), t->size());
+    EXPECT_EQ(g.row_ptr.back(), g.nnz());
+    EXPECT_EQ(g.nnz(), t->gain_nnz());
+    EXPECT_EQ(g.bytes(), t->gain_storage_bytes());
+    EXPECT_EQ(g.full_rows(), t == &dense);
+    for (NodeId u = 0; u < g.rows(); ++u) {
+      const LinkCsr::Row row = g.row(u);
+      bool diagonal = false;
+      for (std::size_t k = 0; k < row.size; ++k) {
+        const NodeId v = row.col[k];
+        if (k > 0) {
+          EXPECT_GT(v, row.col[k - 1]);  // strictly ascending
+        }
+        diagonal = diagonal || v == u;
+        // Reciprocal: the reverse link is stored with the same bits.
+        EXPECT_EQ(t->gain_db(v, u), row.val[k]) << u << "<->" << v;
       }
+      EXPECT_TRUE(diagonal) << "row " << u;
+      EXPECT_EQ(t->gain_db(u, u), 0.0);
     }
   }
 }
 
-TEST(NeighborCsrTest, RowsAreAscendingSymmetricAndSelfFree) {
-  Topology t = make_dcube48_topology();
-  NeighborCsr adj = t.good_neighbors();
-  ASSERT_EQ(adj.n, t.size());
-  ASSERT_EQ(adj.row_ptr.size(), static_cast<std::size_t>(t.size()) + 1);
-  EXPECT_EQ(adj.row_ptr.back(), adj.col.size());
-  auto has_edge = [&](NodeId u, NodeId v) {
-    for (std::size_t k = adj.row_ptr[static_cast<std::size_t>(u)];
-         k < adj.row_ptr[static_cast<std::size_t>(u) + 1]; ++k)
-      if (adj.col[k] == v) return true;
-    return false;
-  };
-  for (NodeId u = 0; u < adj.n; ++u) {
-    NodeId prev = -1;
-    for (std::size_t k = adj.row_ptr[static_cast<std::size_t>(u)];
-         k < adj.row_ptr[static_cast<std::size_t>(u) + 1]; ++k) {
-      NodeId v = adj.col[k];
-      EXPECT_NE(v, u);       // no self loops
-      EXPECT_GT(v, prev);    // strictly ascending within the row
-      EXPECT_TRUE(has_edge(v, u)) << u << "<->" << v;  // reciprocal links
-      prev = v;
-    }
-    EXPECT_EQ(adj.degree(u),
-              adj.row_ptr[static_cast<std::size_t>(u) + 1] -
-                  adj.row_ptr[static_cast<std::size_t>(u)]);
-  }
-}
-
-TEST(NeighborCsrTest, HopCountsFromRejectsMismatchedAdjacency) {
-  Topology a = make_line_topology(8, 12.0);
-  Topology b = make_line_topology(9, 12.0);
-  NeighborCsr adj = b.good_neighbors();
-  EXPECT_THROW((void)a.hop_counts_from(0, adj), util::RequireError);
-  EXPECT_THROW((void)a.hop_counts_from(-1, a.good_neighbors()),
-               util::RequireError);
+TEST(Topology, HopCountsRejectsBadRoot) {
+  Topology t = make_line_topology(8, 12.0);
+  EXPECT_THROW((void)t.hop_counts(-1), util::RequireError);
+  EXPECT_THROW((void)t.hop_counts(8), util::RequireError);
 }
 
 TEST(CampusTopology, IsDeterministicPerSeed) {
@@ -352,23 +349,30 @@ TEST(CulledTopology, MinusInfFloorKeepsEveryLink) {
 
 TEST(CulledTopology, GoodNeighborsAndHopsMatchUnculled) {
   // A floor below the good-link threshold (at TX powers <= 0 dBm) only
-  // drops links good_neighbors would have rejected, so walking the stored
-  // rows gives the same adjacency (and therefore the same BFS) as the
-  // topology that keeps every link.
+  // drops links the good-link test would have rejected, so walking the
+  // stored rows finds the same good neighbors (and therefore the same BFS)
+  // as the topology that keeps every link.
   const int n = 300;
   Topology all = make_campus_topology(n, 9);
+  const double need_dbm =
+      all.radio().noise_floor_dbm + Topology::sinr_threshold_db(36, 0.1);
   const double floor_db = gain_cull_floor_db(all.radio(), 10.0);
-  ASSERT_LT(floor_db, all.radio().noise_floor_dbm +
-                          Topology::sinr_threshold_db(36, 0.1));
+  ASSERT_LT(floor_db, need_dbm);
   Topology culled = make_campus_topology_culled(n, 9, floor_db);
   ASSERT_LT(culled.gain_nnz(), all.gain_nnz() / 2);
+  auto good_neighbors = [&](const Topology& t, NodeId u, double power) {
+    std::vector<NodeId> out;
+    const LinkCsr::Row row = t.gains().row(u);
+    for (std::size_t k = 0; k < row.size; ++k)
+      if (row.col[k] != u && power + row.val[k] >= need_dbm)
+        out.push_back(row.col[k]);
+    return out;
+  };
   for (double power : {0.0, -7.0}) {
     SCOPED_TRACE("power " + std::to_string(power));
-    const NeighborCsr want = all.good_neighbors(36, power);
-    const NeighborCsr got = culled.good_neighbors(36, power);
-    EXPECT_EQ(got.n, want.n);
-    EXPECT_EQ(got.row_ptr, want.row_ptr);
-    EXPECT_EQ(got.col, want.col);
+    for (NodeId u = 0; u < n; ++u)
+      EXPECT_EQ(good_neighbors(culled, u, power), good_neighbors(all, u, power))
+          << "node " << u;
     for (NodeId root : {0, n / 2, n - 1})
       EXPECT_EQ(culled.hop_counts(root, 36, power),
                 all.hop_counts(root, 36, power))

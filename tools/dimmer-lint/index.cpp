@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "scan.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::lint {
 
@@ -189,7 +190,7 @@ void parse_pure_marker(const std::string& comment, unsigned* mask) {
 FileIndex index_source(const std::string& path, const std::string& contents) {
   FileIndex out;
   out.file = path;
-  out.hash = fnv1a(contents);
+  out.hash = util::fnv1a64(contents);
 
   std::vector<LineInfo> lines = split_channels(contents);
   std::vector<Tok> toks = tokenize(lines);
@@ -478,7 +479,7 @@ FileIndex index_source(const std::string& path, const std::string& contents) {
 
 FileIndex index_or_reuse(const std::string& path, const std::string& contents,
                          const FileIndex* cached) {
-  if (cached != nullptr && cached->hash == fnv1a(contents) &&
+  if (cached != nullptr && cached->hash == util::fnv1a64(contents) &&
       cached->file == path)
     return *cached;
   return index_source(path, contents);

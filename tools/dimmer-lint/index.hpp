@@ -97,7 +97,7 @@ struct FunctionDef {
 /// The index of one translation unit.
 struct FileIndex {
   std::string file;
-  std::uint64_t hash = 0;  ///< fnv1a over the raw file bytes
+  std::uint64_t hash = 0;  ///< util::fnv1a64 over the raw file bytes
   std::vector<FunctionDef> functions;
 };
 

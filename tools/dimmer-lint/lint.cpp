@@ -1,12 +1,9 @@
 #include "lint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,7 +11,9 @@
 
 #include "index.hpp"
 #include "scan.hpp"
+#include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dimmer::lint {
 
@@ -608,15 +607,6 @@ std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
   return out;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string normalize_ws(const std::string& s) {
   std::string out;
   bool pending = false;
@@ -635,7 +625,7 @@ std::string normalize_ws(const std::string& s) {
 std::string baseline_key(const Finding& f) {
   std::ostringstream os;
   os << norm_path(f.file) << "|" << f.rule << "|" << std::hex
-     << fnv1a(normalize_ws(f.excerpt));
+     << util::fnv1a64(normalize_ws(f.excerpt));
   return os.str();
 }
 
@@ -664,37 +654,10 @@ bool has_active(const std::vector<Finding>& findings) {
 }
 
 bool write_file_atomic(const std::string& path, const std::string& data) {
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Make the rename itself durable.
-  std::size_t slash = path.find_last_of('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
+  try {
+    util::write_file_atomic(path, data);
+  } catch (const std::exception&) {
+    return false;  // the old target, if any, is untouched
   }
   return true;
 }

@@ -185,7 +185,7 @@ std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
 /// ends (exposed for tests).
 std::string normalize_ws(const std::string& s);
 
-/// Stable baseline key: "path|rule|fnv1a(whitespace-normalized excerpt)".
+/// Stable baseline key: "path|rule|fnv1a64(whitespace-normalized excerpt)".
 /// Content-hashed rather than line-numbered so unrelated edits above a
 /// baselined finding do not invalidate it, and whitespace-normalized so pure
 /// reformatting (re-indentation) does not churn keys.
@@ -203,10 +203,9 @@ void apply_baseline(std::vector<Finding>& findings,
 /// process exit criterion.
 bool has_active(const std::vector<Finding>& findings);
 
-/// Writes `data` to `path` atomically: sibling temp file, fsync, rename over
-/// the target, then fsync the parent directory (util/atomic_file semantics,
-/// re-implemented here so the tool stays standalone). Returns false and
-/// leaves any existing `path` untouched on failure.
+/// Writes `data` to `path` atomically through util::write_file_atomic
+/// (sibling temp file, fsync, rename over the target, directory fsync).
+/// Returns false and leaves any existing `path` untouched on failure.
 bool write_file_atomic(const std::string& path, const std::string& data);
 
 /// Snapshots the current unsuppressed findings as a sorted, deduped baseline
@@ -221,8 +220,5 @@ bool update_baseline(const std::vector<Finding>& findings,
 /// byte-deterministic: findings sorted by (file, line, rule), numbers
 /// emitted via util::json_number.
 std::string json_report(std::vector<Finding> findings);
-
-/// FNV-1a 64-bit over `s` (exposed for tests).
-std::uint64_t fnv1a(const std::string& s);
 
 }  // namespace dimmer::lint
