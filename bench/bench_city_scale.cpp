@@ -25,10 +25,8 @@
 // DIMMER_BENCH_SCALE shrinks the epoch count for smoke runs; the topology
 // stays at 1024 nodes / 8 cells (the point of the bench).
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "baselines/pid.hpp"
@@ -39,7 +37,6 @@
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
-#include "util/check.hpp"
 #include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -53,12 +50,7 @@ constexpr int kNodes = 1024;
 constexpr int kCells = 8;
 
 int fed_workers() {
-  const char* w = std::getenv("DIMMER_FED_WORKERS");
-  if (!w) return 1;
-  const std::optional<int> v = util::parse_positive_int(w);
-  DIMMER_REQUIRE(v.has_value(),
-                 "DIMMER_FED_WORKERS must be an integer in [1, INT_MAX]");
-  return *v;
+  return util::env_positive_int("DIMMER_FED_WORKERS").value_or(1);
 }
 
 std::unique_ptr<core::AdaptivityController> cell_controller(

@@ -11,7 +11,6 @@
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -175,14 +174,13 @@ int main() {
             "}, \"speedup\": " + util::json_number(speedup) + "}";
   }
 
-  const std::string path = exp::output_path("flood_hotpath");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << "{\"bench\": \"flood_hotpath\", \"schema_version\": 1, "
-         "\"simd_backend\": "
-      << util::json_quote(util::simd::backend_name()) << ", \"scenarios\": ["
-      << rows << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << path << "\n";
+  const std::string json =
+      "{\"bench\": \"flood_hotpath\", \"schema_version\": 1, "
+      "\"simd_backend\": " +
+      util::json_quote(util::simd::backend_name()) + ", \"scenarios\": [" +
+      rows + "]}\n";
+  std::cout << "\n";
+  if (!exp::write_artifact("flood_hotpath", json, &std::cout)) return 1;
 
   if (!identical) return 1;
   return 0;

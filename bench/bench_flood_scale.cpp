@@ -20,7 +20,6 @@
 // exempt from the byte-identity rule that covers the figure benches.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -208,14 +207,13 @@ int main() {
             ", \"speedup_ns_per_step\": " + util::json_number(speedup) + "}";
   }
 
-  const std::string path = exp::output_path("flood_scale");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << "{\"bench\": \"flood_scale\", \"schema_version\": 1, "
-         "\"simd_backend\": "
-      << util::json_quote(util::simd::backend_name()) << ", \"sizes\": ["
-      << rows << "]}\n";
-  out.close();
-  std::cout << "\nwrote " << path << "\n";
+  const std::string json =
+      "{\"bench\": \"flood_scale\", \"schema_version\": 1, "
+      "\"simd_backend\": " +
+      util::json_quote(util::simd::backend_name()) + ", \"sizes\": [" +
+      rows + "]}\n";
+  std::cout << "\n";
+  if (!exp::write_artifact("flood_scale", json, &std::cout)) return 1;
 
   return ok ? 0 : 1;
 }

@@ -32,12 +32,7 @@
 namespace dimmer::bench {
 
 inline double scale() {
-  const char* s = std::getenv("DIMMER_BENCH_SCALE");
-  if (!s) return 1.0;
-  const std::optional<double> v = util::parse_double(s);
-  DIMMER_REQUIRE(v.has_value() && *v > 0.0,
-                 "DIMMER_BENCH_SCALE must be a positive finite number");
-  return *v;
+  return util::env_positive_double("DIMMER_BENCH_SCALE").value_or(1.0);
 }
 
 /// max(lo, round(x * scale)).

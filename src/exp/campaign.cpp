@@ -14,7 +14,6 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -45,17 +44,6 @@ void ensure_dir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return;
   DIMMER_REQUIRE(false, "campaign: cannot create directory '" + dir +
                             "': " + std::strerror(errno));
-}
-
-/// Strict-parsed positive integer from the environment (same discipline as
-/// jobs_from_env); std::nullopt when the variable is unset.
-std::optional<long> env_count(const char* name) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return std::nullopt;
-  const std::optional<int> v = util::parse_positive_int(s);
-  DIMMER_REQUIRE(v.has_value(),
-                 std::string(name) + " must be an integer in [1, INT_MAX]");
-  return *v;
 }
 
 /// Newline count of a file (== its record count for our JSONL formats,
@@ -185,8 +173,8 @@ class DirLock {
                    "campaign: worker re-read a checkpoint that does not "
                    "match the supervisor's spec matrix");
 
-    const std::optional<long> kill_after =
-        env_count("DIMMER_CAMPAIGN_KILL_AFTER");
+    const std::optional<int> kill_after =
+        util::env_positive_int("DIMMER_CAMPAIGN_KILL_AFTER");
     AppendLog journal(shard_journal_path(opt.dir, shard));
     AppendLog attempts_log(shard_attempts_path(opt.dir, shard));
     const JournalReplay done = replay_journal(journal.path());
@@ -283,10 +271,11 @@ std::string campaign_checkpoint_path(const std::string& dir) {
 }
 
 int campaign_shards_from_env() {
-  const std::optional<long> v = env_count("DIMMER_CAMPAIGN_SHARDS");
+  const std::optional<int> v =
+      util::env_positive_int("DIMMER_CAMPAIGN_SHARDS");
   if (!v) return 1;
   DIMMER_REQUIRE(*v <= 999, "DIMMER_CAMPAIGN_SHARDS out of [1, 999]");
-  return static_cast<int>(*v);
+  return *v;
 }
 
 // ---- supervisor ------------------------------------------------------------
@@ -366,8 +355,8 @@ CampaignReport Campaign::run(const std::vector<TrialSpec>& specs,
   }
   ctr.counter("campaign.resumed_trials") += records_at_start;
 
-  const std::optional<long> abort_after =
-      env_count("DIMMER_CAMPAIGN_ABORT_AFTER");
+  const std::optional<int> abort_after =
+      util::env_positive_int("DIMMER_CAMPAIGN_ABORT_AFTER");
   auto total_records_now = [&] {
     std::size_t n = 0;
     for (int s = 0; s < opt_.shards; ++s)

@@ -126,23 +126,28 @@ std::string output_path(const std::string& bench) {
   return d + "BENCH_" + bench + ".json";
 }
 
-bool write_json(const std::string& bench, const std::vector<Trial>& trials,
-                const JsonOptions& opt, std::ostream* log) {
+bool write_artifact(const std::string& bench, const std::string& contents,
+                    std::ostream* log) {
   std::string path = output_path(bench);
   try {
     // Atomic replacement (util/atomic_file.hpp): a bench killed mid-write
     // leaves the previous BENCH_*.json intact, never a truncated artifact.
-    util::write_file_atomic(path, to_json(bench, trials, opt));
+    util::write_file_atomic(path, contents);
   } catch (const std::exception& e) {  // NOLINT-DIMMER(err-swallow):
-    // recorded, not swallowed — the sweep's tables have already been
-    // printed by the time the JSON artifact is written; a bad
-    // DIMMER_BENCH_OUT must not abort the run.
+    // recorded, not swallowed — the bench's tables have already been
+    // printed by the time the JSON artifact is written; the caller decides
+    // whether a bad DIMMER_BENCH_OUT fails the run.
     std::cerr << "[exp] ERROR: cannot write " << path << ": " << e.what()
               << " (check DIMMER_BENCH_OUT)\n";
     return false;
   }
   if (log) *log << "[exp] wrote " << path << "\n";
   return true;
+}
+
+bool write_json(const std::string& bench, const std::vector<Trial>& trials,
+                const JsonOptions& opt, std::ostream* log) {
+  return write_artifact(bench, to_json(bench, trials, opt), log);
 }
 
 }  // namespace dimmer::exp

@@ -59,10 +59,14 @@ std::string to_json(const std::string& bench, const std::vector<Trial>& trials,
 /// $DIMMER_BENCH_OUT/BENCH_<bench>.json (default directory ".").
 std::string output_path(const std::string& bench);
 
-/// Serialize and write to output_path(bench); logs the path to `log` if
-/// given. Returns false (after printing to stderr) if the file cannot be
-/// opened — the metrics artifact is best-effort, it must never abort a
-/// finished sweep.
+/// Atomically replaces output_path(bench) with `contents` and logs the path
+/// to `log` if given. Returns false (after printing the error to stderr) if
+/// the write fails; the old artifact, if any, is left untouched.
+bool write_artifact(const std::string& bench, const std::string& contents,
+                    std::ostream* log = nullptr);
+
+/// write_artifact(bench, to_json(bench, trials, opt), log). Never throws:
+/// the metrics artifact is best-effort, it must not abort a finished sweep.
 bool write_json(const std::string& bench, const std::vector<Trial>& trials,
                 const JsonOptions& opt = {}, std::ostream* log = nullptr);
 

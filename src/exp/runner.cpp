@@ -1,39 +1,28 @@
 #include "exp/runner.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <thread>
 
 #include "exp/watchdog.hpp"
-#include "util/check.hpp"
 #include "util/parse.hpp"
 #include "util/wallclock.hpp"
 
 namespace dimmer::exp {
 
 int jobs_from_env() {
-  if (const char* s = std::getenv("DIMMER_JOBS")) {
-    // Strict full-string parse (util/parse.hpp): "8x", "0x10", " 8" and
-    // out-of-range values fail loudly, so a mistyped override can't run a
-    // sweep at the wrong parallelism unnoticed.
-    const std::optional<int> v = util::parse_positive_int(s);
-    DIMMER_REQUIRE(v.has_value(),
-                   "DIMMER_JOBS must be an integer in [1, INT_MAX]");
+  // Strict full-string parse (util/parse.hpp): "8x", "0x10", " 8" and
+  // out-of-range values fail loudly, so a mistyped override can't run a
+  // sweep at the wrong parallelism unnoticed.
+  if (const std::optional<int> v = util::env_positive_int("DIMMER_JOBS"))
     return *v;
-  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 double trial_timeout_from_env() {
-  const char* s = std::getenv("DIMMER_TRIAL_TIMEOUT_S");
-  if (s == nullptr) return 0.0;
-  const std::optional<double> v = util::parse_double(s);
-  DIMMER_REQUIRE(v.has_value() && *v > 0.0,
-                 "DIMMER_TRIAL_TIMEOUT_S must be a positive finite number");
-  return *v;
+  return util::env_positive_double("DIMMER_TRIAL_TIMEOUT_S").value_or(0.0);
 }
 
 std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,

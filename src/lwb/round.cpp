@@ -10,12 +10,7 @@ RoundExecutor::RoundExecutor(const phy::Topology& topo,
                              const phy::InterferenceField& interference,
                              RoundConfig cfg)
     : topo_(&topo), cfg_(std::move(cfg)), engine_(topo, interference) {
-  DIMMER_REQUIRE(phy::is_valid_channel(cfg_.control_channel),
-                 "invalid control channel");
-  for (phy::Channel c : cfg_.hop_sequence)
-    DIMMER_REQUIRE(phy::is_valid_channel(c), "invalid hopping channel");
-  DIMMER_REQUIRE(cfg_.max_sync_age >= 0, "max_sync_age must be >= 0");
-  ws_.reserve(topo.size());
+  init_from_config();
 }
 
 RoundExecutor::RoundExecutor(phy::LinkModel& links,
@@ -24,6 +19,10 @@ RoundExecutor::RoundExecutor(phy::LinkModel& links,
     : topo_(&links.topology()),
       cfg_(std::move(cfg)),
       engine_(links, interference) {
+  init_from_config();
+}
+
+void RoundExecutor::init_from_config() {
   DIMMER_REQUIRE(phy::is_valid_channel(cfg_.control_channel),
                  "invalid control channel");
   for (phy::Channel c : cfg_.hop_sequence)

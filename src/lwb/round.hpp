@@ -163,6 +163,9 @@ class RoundExecutor {
   }
 
  private:
+  /// Shared constructor tail: validates cfg_ and sizes the flood workspace.
+  void init_from_config();
+
   const phy::Topology* topo_;
   RoundConfig cfg_;
   flood::GlossyFlood engine_;  ///< persistent: keeps the mW link cache warm

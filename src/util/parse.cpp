@@ -6,6 +6,8 @@
 #include <limits>
 #include <string>
 
+#include "util/check.hpp"
+
 namespace dimmer::util {
 
 namespace {
@@ -43,6 +45,24 @@ std::optional<double> parse_double(std::string_view text) {
   const double v = std::strtod(s.c_str(), &end);
   if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v))
     return std::nullopt;
+  return v;
+}
+
+std::optional<int> env_positive_int(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return std::nullopt;
+  const std::optional<int> v = parse_positive_int(s);
+  DIMMER_REQUIRE(v.has_value(),
+                 std::string(name) + " must be an integer in [1, INT_MAX]");
+  return v;
+}
+
+std::optional<double> env_positive_double(const char* name) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return std::nullopt;
+  const std::optional<double> v = parse_double(s);
+  DIMMER_REQUIRE(v.has_value() && *v > 0.0,
+                 std::string(name) + " must be a positive finite number");
   return v;
 }
 

@@ -133,5 +133,22 @@ TEST(Json, WriteJsonToUnwritableDirFailsGracefully) {
   std::remove("BENCH_unit.json");
 }
 
+TEST(Json, WriteArtifactWritesAndLogsOnlyOnSuccess) {
+  ASSERT_EQ(setenv("DIMMER_BENCH_OUT", "/tmp", 1), 0);
+  std::ostringstream log;
+  ASSERT_TRUE(write_artifact("artifact_unit", "{}\n", &log));
+  EXPECT_EQ(log.str(), "[exp] wrote /tmp/BENCH_artifact_unit.json\n");
+  ASSERT_EQ(setenv("DIMMER_BENCH_OUT", "/tmp/no/such/dir", 1), 0);
+  std::ostringstream log2;
+  EXPECT_FALSE(write_artifact("artifact_unit", "{\"x\": 1}\n", &log2));
+  EXPECT_TRUE(log2.str().empty()) << "a failed write must not log 'wrote'";
+  ASSERT_EQ(unsetenv("DIMMER_BENCH_OUT"), 0);
+  std::ifstream f("/tmp/BENCH_artifact_unit.json");
+  std::stringstream ss;
+  ss << f.rdbuf();
+  EXPECT_EQ(ss.str(), "{}\n");
+  std::remove("/tmp/BENCH_artifact_unit.json");
+}
+
 }  // namespace
 }  // namespace dimmer::exp

@@ -1,20 +1,16 @@
 // Tests for tools/dimmer-lint pass 2: every rule proven to fire on a fixture
 // and to honour its suppression mechanism, the JSON report pinned against a
-// golden file, the shipped baseline proven empty, baseline snapshotting
-// (--update-baseline semantics) proven atomic and refusal-safe, the fan-out
-// scanner proven byte-identical for any job count, and — the point of the
-// tool — the real src/, bench/, examples/ and tools/ trees proven clean
-// under the full two-pass (call-graph-aware) analysis.
+// golden file, the CLI's exit codes, and — the point of the tool — the real
+// src/, bench/, examples/ and tools/ trees proven clean under the full
+// two-pass (call-graph-aware) analysis.
 //
-// Pass-1 machinery (extractor, fixpoint, cache round-trip) is covered in
-// test_index.cpp.
+// Pass-1 machinery (extractor, fixpoint) is covered in test_index.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +22,6 @@
 
 namespace fs = std::filesystem;
 using dimmer::lint::Finding;
-using dimmer::lint::Options;
 
 namespace {
 
@@ -34,10 +29,18 @@ std::string fixture_path(const std::string& name) {
   return std::string(DIMMER_LINT_FIXTURE_DIR) + "/" + name;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 // Scans a fixture, reporting it under a stable relative path so findings are
 // machine-independent.
 std::vector<Finding> scan_fixture(const std::string& name) {
-  return dimmer::lint::scan_file(fixture_path(name), "fixtures/" + name);
+  return dimmer::lint::scan_source("fixtures/" + name,
+                                   slurp(fixture_path(name)));
 }
 
 // Findings for `rule` with the given flags.
@@ -53,13 +56,6 @@ int count_rule(const std::vector<Finding>& fs, const std::string& rule) {
   return static_cast<int>(
       std::count_if(fs.begin(), fs.end(),
                     [&](const Finding& f) { return f.rule == rule; }));
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 }  // namespace
@@ -257,8 +253,7 @@ TEST(LintRngDiscipline, ProtocolToConsumerPcgFlowFires) {
   idx.push_back(dimmer::lint::index_source("src/flood/proto.cpp", proto));
   auto graph = dimmer::lint::build_call_graph(idx);
 
-  auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, Options(),
-                                      &graph);
+  auto fs = dimmer::lint::scan_source("src/flood/proto.cpp", proto, &graph);
   auto active = lines_of(fs, "rng-discipline", /*suppressed=*/false);
   ASSERT_EQ(active, (std::vector<int>{2}));
   for (const auto& f : fs) {
@@ -268,8 +263,8 @@ TEST(LintRngDiscipline, ProtocolToConsumerPcgFlowFires) {
     }
   }
 
-  auto cfs = dimmer::lint::scan_source("src/fault/consumer.cpp", consumer,
-                                       Options(), &graph);
+  auto cfs =
+      dimmer::lint::scan_source("src/fault/consumer.cpp", consumer, &graph);
   EXPECT_EQ(count_rule(cfs, "rng-discipline"), 0);
 }
 
@@ -287,8 +282,7 @@ TEST(LintRngDiscipline, FlowOutsideProtocolModulesIsClean) {
   idx.push_back(dimmer::lint::index_source("src/fault/consumer.cpp", consumer));
   idx.push_back(dimmer::lint::index_source("src/exp/driver.cpp", other));
   auto graph = dimmer::lint::build_call_graph(idx);
-  auto fs = dimmer::lint::scan_source("src/exp/driver.cpp", other, Options(),
-                                      &graph);
+  auto fs = dimmer::lint::scan_source("src/exp/driver.cpp", other, &graph);
   EXPECT_EQ(count_rule(fs, "rng-discipline"), 0);
 }
 
@@ -312,135 +306,6 @@ TEST(LintSuppression, UnrelatedRuleListDoesNotSuppress) {
   ASSERT_EQ(fs.size(), 1u);
   EXPECT_FALSE(fs[0].suppressed);
   EXPECT_TRUE(dimmer::lint::has_active(fs));
-}
-
-// ---------------------------------------------------------------------------
-// Baseline
-// ---------------------------------------------------------------------------
-
-TEST(LintBaseline, KeyIsContentHashedNotLineNumbered) {
-  const std::string a = "int f() { return std::rand(); }\n";
-  const std::string b = "// a new comment shifts every line\n\n\n" + a;
-  auto fa = dimmer::lint::scan_source("x.cpp", a);
-  auto fb = dimmer::lint::scan_source("x.cpp", b);
-  ASSERT_EQ(fa.size(), 1u);
-  ASSERT_EQ(fb.size(), 1u);
-  EXPECT_NE(fa[0].line, fb[0].line);
-  EXPECT_EQ(dimmer::lint::baseline_key(fa[0]), dimmer::lint::baseline_key(fb[0]));
-}
-
-TEST(LintBaseline, ApplyMarksMatchingFindingsInactive) {
-  auto fs = dimmer::lint::scan_source("x.cpp",
-                                      "int f() { return std::rand(); }\n");
-  ASSERT_EQ(fs.size(), 1u);
-  std::set<std::string> baseline = {dimmer::lint::baseline_key(fs[0])};
-  dimmer::lint::apply_baseline(fs, baseline);
-  EXPECT_TRUE(fs[0].baselined);
-  EXPECT_FALSE(dimmer::lint::has_active(fs));
-}
-
-TEST(LintBaseline, ShippedBaselineIsEmpty) {
-  // The contract: the repo lints clean, so the checked-in baseline carries
-  // zero keys. Grandfathering a violation requires a visible diff here.
-  auto keys = dimmer::lint::load_baseline(DIMMER_LINT_BASELINE_FILE);
-  EXPECT_TRUE(keys.empty())
-      << "baseline.txt must stay empty; fix or NOLINT new findings instead";
-}
-
-TEST(LintBaseline, MissingFileYieldsEmptySet) {
-  EXPECT_TRUE(dimmer::lint::load_baseline("/nonexistent/baseline").empty());
-}
-
-TEST(LintBaseline, KeySurvivesReindentation) {
-  // The excerpt is whitespace-normalized before hashing, so a pure
-  // reformatting pass (re-indentation, alignment churn) keeps every
-  // baselined key stable.
-  const std::string a = "int f() { return std::rand(); }\n";
-  const std::string b = "      int   f()  {  return   std::rand();   }\n";
-  auto fa = dimmer::lint::scan_source("x.cpp", a);
-  auto fb = dimmer::lint::scan_source("x.cpp", b);
-  ASSERT_EQ(fa.size(), 1u);
-  ASSERT_EQ(fb.size(), 1u);
-  EXPECT_NE(fa[0].excerpt, fb[0].excerpt);
-  EXPECT_EQ(dimmer::lint::baseline_key(fa[0]),
-            dimmer::lint::baseline_key(fb[0]));
-}
-
-TEST(LintBaseline, NormalizeWsCollapsesRunsAndTrims) {
-  EXPECT_EQ(dimmer::lint::normalize_ws("  a \t b\r\n  c  "), "a b c");
-  EXPECT_EQ(dimmer::lint::normalize_ws(""), "");
-  EXPECT_EQ(dimmer::lint::normalize_ws(" \t "), "");
-}
-
-// ---------------------------------------------------------------------------
-// --update-baseline semantics: sorted/deduped snapshot, written atomically,
-// refused outright when the scan itself is broken.
-// ---------------------------------------------------------------------------
-
-TEST(LintUpdateBaseline, WritesSortedDedupedKeys) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub1.txt";
-  fs::remove(out);
-  // Two distinct findings plus a duplicate (the same line content repeated
-  // further down hashes to the same key) and a suppressed one that must NOT
-  // be snapshotted.
-  auto findings = dimmer::lint::scan_source(
-      "src/core/b.cpp",
-      "int f() { return std::rand(); }\n"
-      "int g() { return std::rand(); }\n"
-      "int f() { return std::rand(); }\n"
-      "int h() { return std::rand(); }  // NOLINT-DIMMER\n");
-  ASSERT_EQ(findings.size(), 4u);
-  ASSERT_TRUE(dimmer::lint::update_baseline(findings, out.string()));
-  auto keys = dimmer::lint::load_baseline(out.string());
-  // f and g have different excerpts -> two keys (the repeated f line dedupes
-  // into the first); the suppressed h is absent.
-  EXPECT_EQ(keys.size(), 2u);
-  for (const auto& k : keys)
-    EXPECT_EQ(k.find("src/core/b.cpp|det-clock|"), 0u) << k;
-  // The on-disk order is sorted (load_baseline's set would hide that).
-  std::string text = slurp(out.string());
-  std::vector<std::string> lines;
-  std::stringstream ss(text);
-  std::string l;
-  while (std::getline(ss, l))
-    if (!l.empty() && l[0] != '#') lines.push_back(l);
-  EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, RoundTripSilencesTheGate) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub2.txt";
-  fs::remove(out);
-  const std::string src = "int f() { return std::rand(); }\n";
-  auto findings = dimmer::lint::scan_source("src/core/c.cpp", src);
-  ASSERT_TRUE(dimmer::lint::has_active(findings));
-  ASSERT_TRUE(dimmer::lint::update_baseline(findings, out.string()));
-  auto again = dimmer::lint::scan_source("src/core/c.cpp", src);
-  dimmer::lint::apply_baseline(again, dimmer::lint::load_baseline(out.string()));
-  EXPECT_FALSE(dimmer::lint::has_active(again));
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, RefusesOnParseErrorAndLeavesTargetUntouched) {
-  const fs::path out = fs::temp_directory_path() / "dimmer_lint_ub3.txt";
-  {
-    std::ofstream prev(out);
-    prev << "# sentinel\nexisting|det-clock|0\n";
-  }
-  // An unterminated hot-path region is a parse error: the scan cannot be
-  // trusted as a complete picture, so snapshotting must refuse.
-  auto findings = dimmer::lint::scan_source(
-      "src/core/d.cpp", "// dimmer-lint: hot-path begin\nint x;\n");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_FALSE(dimmer::lint::update_baseline(findings, out.string()));
-  EXPECT_NE(slurp(out.string()).find("sentinel"), std::string::npos)
-      << "refusal must leave the existing baseline byte-identical";
-  fs::remove(out);
-}
-
-TEST(LintUpdateBaseline, AtomicWriteRefusesUnwritableDirectory) {
-  EXPECT_FALSE(dimmer::lint::write_file_atomic(
-      "/nonexistent-dir/deeper/baseline.txt", "x\n"));
 }
 
 // ---------------------------------------------------------------------------
@@ -505,31 +370,16 @@ TEST(LintRepo, SrcBenchExamplesToolsHaveNoActiveFindings) {
   auto files = repo_sources();
   ASSERT_GT(files.size(), 50u);  // sanity: we really walked the tree
   auto graph = repo_graph(files);
-  auto baseline = dimmer::lint::load_baseline(DIMMER_LINT_BASELINE_FILE);
-  auto found = dimmer::lint::scan_sources(files, Options(), &graph, 4);
-  dimmer::lint::apply_baseline(found, baseline);
+  auto found = dimmer::lint::scan_sources(files, &graph);
   int active = 0;
   for (const auto& d : found) {
-    if (!d.suppressed && !d.baselined) {
+    if (!d.suppressed) {
       ++active;
       ADD_FAILURE() << d.file << ":" << d.line << ": [" << d.rule << "] "
                     << d.message;
     }
   }
   EXPECT_EQ(active, 0);
-}
-
-TEST(LintRepo, ReportIsByteIdenticalForAnyJobCount) {
-  // scan_sources merges per-file results in input order, so the JSON report
-  // must be byte-identical whether pass 2 ran on one thread or eight — the
-  // static-analysis mirror of the shards=1-vs-N campaign identity.
-  auto files = repo_sources();
-  auto graph = repo_graph(files);
-  auto r1 = dimmer::lint::json_report(
-      dimmer::lint::scan_sources(files, Options(), &graph, 1));
-  auto r8 = dimmer::lint::json_report(
-      dimmer::lint::scan_sources(files, Options(), &graph, 8));
-  EXPECT_EQ(r1, r8);
 }
 
 // A seeded violation MUST make the gate fail — proves the CI job is not
@@ -545,8 +395,8 @@ TEST(LintRepo, SeededViolationFailsTheGate) {
 
 // ---------------------------------------------------------------------------
 // The CLI end to end: a seeded *transitive* violation in a temp tree makes
-// the real binary exit 1 and name the call chain; a second (warm-cache) run
-// produces a byte-identical JSON report.
+// the real binary exit 1 and name the call chain; a NOLINT-DIMMER on the
+// offending call makes it exit 0; there are no other run modes.
 // ---------------------------------------------------------------------------
 
 TEST(LintCli, SeededTransitiveViolationExitsOneNamingTheChain) {
@@ -559,22 +409,25 @@ TEST(LintCli, SeededTransitiveViolationExitsOneNamingTheChain) {
     h << "#include <vector>\n"
          "void helper_leaf(std::vector<int>& v) { v.push_back(1); }\n"
          "void helper_mid(std::vector<int>& v) { helper_leaf(v); }\n";
+  }
+  auto write_hot = [&](const std::string& call_line) {
     std::ofstream hot(root / "src/flood/hot.cpp");
     hot << "#include <vector>\n"
            "void kernel(std::vector<int>& v) {\n"
            "  // dimmer-lint: hot-path begin\n"
-           "  helper_mid(v);\n"
+        << call_line
+        << "\n"
            "  // dimmer-lint: hot-path end\n"
            "}\n";
-  }
+  };
   const std::string exe = DIMMER_LINT_EXE;
-  const std::string base = "cd " + root.string() + " && " + exe +
-                           " --root . --index-cache cache.txt";
+  const std::string base = "cd " + root.string() + " && " + exe + " --root .";
   auto run = [&](const std::string& tail) {
     int st = std::system((base + " " + tail).c_str());
     return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
   };
-  // Cold run: exit 1, chain named on stderr/stdout.
+  // The seeded tree: exit 1, chain named on stderr, JSON report written.
+  write_hot("  helper_mid(v);");
   EXPECT_EQ(run("--json r1.json src > out1.txt 2>&1"), 1);
   const std::string out = slurp((root / "out1.txt").string());
   EXPECT_NE(out.find("hot-no-alloc"), std::string::npos) << out;
@@ -582,23 +435,14 @@ TEST(LintCli, SeededTransitiveViolationExitsOneNamingTheChain) {
   EXPECT_NE(out.find("`push_back` at src/core/helper.cpp:2"),
             std::string::npos)
       << out;
-  // Warm-cache rerun: same exit, byte-identical report.
-  ASSERT_TRUE(fs::exists(root / "cache.txt"));
-  EXPECT_EQ(run("--json r2.json src > out2.txt 2>&1"), 1);
-  EXPECT_EQ(slurp((root / "r1.json").string()),
-            slurp((root / "r2.json").string()));
-  EXPECT_FALSE(slurp((root / "r1.json").string()).empty());
-  // --update-baseline snapshots the violation, after which the gate passes.
-  EXPECT_EQ(run("--baseline accepted.txt --update-baseline src "
-                "> /dev/null 2>&1"),
-            0);
-  EXPECT_EQ(run("--baseline accepted.txt src > /dev/null 2>&1"), 0);
-  // --jobs is parsed strictly: usage error (exit 2), never a truncated or
-  // defaulted worker count.
-  for (const char* bad : {"4x", "+3", "0", "-1", "' 8'", "''",
-                          "99999999999999999999"})
-    EXPECT_EQ(run(std::string("--jobs ") + bad + " src > /dev/null 2>&1"), 2)
-        << bad;
-  EXPECT_EQ(run("--baseline accepted.txt --jobs 3 src > /dev/null 2>&1"), 0);
+  const std::string report = slurp((root / "r1.json").string());
+  EXPECT_NE(report.find("\"total_active\": 1,"), std::string::npos) << report;
+  // The same call, visibly sanctioned: the gate passes.
+  write_hot("  helper_mid(v);  // NOLINT-DIMMER(hot-no-alloc)");
+  EXPECT_EQ(run("src > /dev/null 2>&1"), 0);
+  // One run mode: options asking for a baseline, an index cache or a thread
+  // count are usage errors.
+  for (const char* gone : {"--jobs 4", "--baseline x", "--index-cache x"})
+    EXPECT_EQ(run(std::string(gone) + " src > /dev/null 2>&1"), 2) << gone;
   fs::remove_all(root);
 }

@@ -1,7 +1,11 @@
 // Strict numeric parsing (util/parse.hpp): the one rule set behind every
-// numeric flag and environment override.
+// numeric flag and environment override, and the env readers built on it.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "util/check.hpp"
 #include "util/parse.hpp"
 
 namespace dimmer::util {
@@ -47,6 +51,51 @@ TEST(Parse, DoubleRejectsMalformedNonFiniteAndOutOfRange) {
                           "1e-400", "1.2.3"}) {
     EXPECT_FALSE(parse_double(bad).has_value()) << '"' << bad << '"';
   }
+}
+
+// The env readers: unset is "no override", a valid value parses, and a set
+// but malformed value (trailing junk, or set to empty) throws naming the
+// variable.
+TEST(Parse, EnvPositiveIntReadsUnsetValidAndRejectsMalformed) {
+  const char* name = "DIMMER_TEST_ENV_INT";
+  ASSERT_EQ(unsetenv(name), 0);
+  EXPECT_FALSE(env_positive_int(name).has_value());
+  ASSERT_EQ(setenv(name, "4", 1), 0);
+  EXPECT_EQ(env_positive_int(name), 4);
+  for (const char* bad : {"4x", ""}) {
+    ASSERT_EQ(setenv(name, bad, 1), 0);
+    try {
+      (void)env_positive_int(name);
+      ADD_FAILURE() << '"' << bad << "\" accepted";
+    } catch (const RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "DIMMER_TEST_ENV_INT must be an integer in [1, INT_MAX]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(unsetenv(name), 0);
+}
+
+TEST(Parse, EnvPositiveDoubleReadsUnsetValidAndRejectsMalformed) {
+  const char* name = "DIMMER_TEST_ENV_DOUBLE";
+  ASSERT_EQ(unsetenv(name), 0);
+  EXPECT_FALSE(env_positive_double(name).has_value());
+  ASSERT_EQ(setenv(name, "0.25", 1), 0);
+  EXPECT_EQ(env_positive_double(name), 0.25);
+  for (const char* bad : {"4x", "", "0", "-1"}) {
+    ASSERT_EQ(setenv(name, bad, 1), 0);
+    try {
+      (void)env_positive_double(name);
+      ADD_FAILURE() << '"' << bad << "\" accepted";
+    } catch (const RequireError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "DIMMER_TEST_ENV_DOUBLE must be a positive finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(unsetenv(name), 0);
 }
 
 }  // namespace

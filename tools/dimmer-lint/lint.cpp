@@ -1,19 +1,15 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <exception>
-#include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <sstream>
-#include <thread>
 
 #include "index.hpp"
 #include "scan.hpp"
-#include "util/atomic_file.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 namespace dimmer::lint {
 
@@ -31,6 +27,14 @@ const char* kErrSwallow = "err-swallow";
 const char* kNodiscardResult = "nodiscard-result";
 const char* kSimdFpOrder = "simd-fp-order";
 const char* kRngDiscipline = "rng-discipline";
+
+// The only path prefix where det-clock is allowed: the audited wall-clock
+// wrapper seam itself. The lint tool is *not* exempt — it lints itself.
+const char* kClockExemptPrefix = "src/util/";
+
+// Result types that must be declared [[nodiscard]].
+const std::set<std::string> kNodiscardTypes = {"FloodResult", "TrialResult",
+                                               "RoundResult"};
 
 }  // namespace
 
@@ -82,11 +86,11 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
-                    const Options& opt, std::vector<Finding>* out) {
+                    std::vector<Finding>* out) {
   std::string np = norm_path(path);
-  for (const std::string& prefix : opt.clock_exempt_prefixes)
-    if (has_prefix(np, prefix) || np.find("/" + prefix) != std::string::npos)
-      return;
+  if (has_prefix(np, kClockExemptPrefix) ||
+      np.find(std::string("/") + kClockExemptPrefix) != std::string::npos)
+    return;
   const std::set<std::string>& bare = clock_bare_tokens();
   const std::set<std::string>& qual = clock_qual_tokens();
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -97,7 +101,7 @@ void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
                           "` outside src/util/: route timing through "
                           "util/wallclock.hpp and randomness through forked "
                           "util::Pcg32",
-                      "", false, false});
+                      "", false});
       continue;
     }
     if (!qual.count(t)) continue;
@@ -109,7 +113,7 @@ void rule_det_clock(const std::string& path, const std::vector<Tok>& toks,
                       "`" + t +
                           "()` outside src/util/: simulation code must not "
                           "read ambient time or randomness",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -174,7 +178,7 @@ void detail_rule_det_umap_iter(const std::string& path,
                         "range-for over unordered container `" + t +
                             "`: iteration order is implementation-defined; "
                             "iterate sorted keys or use std::map",
-                        "", false, false});
+                        "", false});
         break;
       }
     }
@@ -194,7 +198,7 @@ void detail_rule_det_umap_iter(const std::string& path,
       out->push_back({path, toks[i].line, kDetUmapIter,
                       "iterator traversal of unordered container `" +
                           toks[i].text + "` (order is implementation-defined)",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -215,7 +219,7 @@ void rule_hot_no_alloc(const std::string& path, const std::vector<Tok>& toks,
       out->push_back({path, line, kHotNoAlloc,
                       "`new` inside hot-path region: steady-state floods must "
                       "not allocate (use the caller-owned workspace)",
-                      "", false, false});
+                      "", false});
     } else if (kGrowers.count(t) &&
                (tok_at(toks, i + 1) == "(" ||
                 // templated form: make_unique<T>(...)
@@ -224,7 +228,7 @@ void rule_hot_no_alloc(const std::string& path, const std::vector<Tok>& toks,
                       "`" + t +
                           "()` inside hot-path region may allocate; "
                           "pre-size buffers outside the region",
-                      "", false, false});
+                      "", false});
     }
   }
 }
@@ -251,7 +255,7 @@ void rule_fp_accumulate(const std::string& path, const std::vector<Tok>& toks,
                         "()` hides the floating-point reduction order; write "
                         "an explicit loop or annotate `// dimmer-lint: "
                         "fp-order-ok`",
-                    "", /*suppressed=*/ok, false});
+                    "", /*suppressed=*/ok});
   }
 }
 
@@ -295,7 +299,7 @@ void rule_simd_fp_order(const std::string& path, const std::vector<Tok>& toks,
                         "region: lane order is backend-dependent; keep the "
                         "kernel lanewise or annotate `// dimmer-lint: "
                         "simd-fp-order-ok`",
-                    "", /*suppressed=*/ok, false});
+                    "", /*suppressed=*/ok});
   }
 }
 
@@ -315,13 +319,12 @@ void rule_err_swallow(const std::string& path, const std::vector<Tok>& toks,
       out->push_back({path, toks[i].line, kErrSwallow,
                       "`catch (...)` can absorb any failure silently; catch "
                       "concrete types, or record the error and annotate",
-                      "", false, false});
+                      "", false});
       continue;
     }
     if (tok_at(toks, close + 1) == "{" && tok_at(toks, close + 2) == "}")
       out->push_back({path, toks[i].line, kErrSwallow,
-                      "empty catch handler swallows the error", "", false,
-                      false});
+                      "empty catch handler swallows the error", "", false});
   }
 }
 
@@ -330,10 +333,8 @@ void rule_err_swallow(const std::string& path, const std::vector<Tok>& toks,
 // ---------------------------------------------------------------------------
 
 void rule_nodiscard_result(const std::string& path,
-                           const std::vector<Tok>& toks, const Options& opt,
+                           const std::vector<Tok>& toks,
                            std::vector<Finding>* out) {
-  std::set<std::string> types(opt.nodiscard_types.begin(),
-                              opt.nodiscard_types.end());
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].text != "struct" && toks[i].text != "class") continue;
     std::size_t j = i + 1;
@@ -346,7 +347,7 @@ void rule_nodiscard_result(const std::string& path,
       j += 2;  // skip "]]"
     }
     const std::string& name = tok_at(toks, j);
-    if (!types.count(name)) continue;
+    if (!kNodiscardTypes.count(name)) continue;
     const std::string& next = tok_at(toks, j + 1);
     if (next != "{" && next != ":") continue;  // fwd decl / variable / member
     if (!nodiscard)
@@ -354,7 +355,7 @@ void rule_nodiscard_result(const std::string& path,
                       "result type `" + name +
                           "` must be declared `struct [[nodiscard]] " + name +
                           "` so discarded results warn at every call site",
-                      "", false, false});
+                      "", false});
   }
 }
 
@@ -396,7 +397,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
            "`rng.fork(util::hash_u64(a, b))` so stream identity is a pure "
            "function of (parent seed, tag), never of draw order or loop "
            "position",
-           "", false, false});
+           "", false});
   }
   // (b) Protocol modules must not hand RNG streams into consumer-module
   // signatures. Name-resolved against the call graph: a call in
@@ -422,7 +423,7 @@ void rule_rng_discipline(const std::string& path, const std::vector<Tok>& toks,
                ") takes util::Pcg32; fault/exp/bench randomness must stay "
                "out of protocol lockstep — pass a hash_u64-keyed fork the "
                "consumer owns instead",
-           "", false, false});
+           "", false});
     }
   }
 }
@@ -475,7 +476,7 @@ void rule_transitive_hot(const std::string& path, const std::vector<Tok>& toks,
                  (call ? "` through call chain: "
                        : "` through referenced function: ") +
                  graph.chain(node, p),
-             "", false, false});
+             "", false});
       }
     }
   }
@@ -499,7 +500,7 @@ void rule_trust_reports(const std::string& path, const CallGraph& graph,
            std::string("`pure(") + prop_name(pp) +
                ")` trust annotation on `" + graph.display(static_cast<int>(i)) +
                "` masks: " + graph.chain(static_cast<int>(i), pp),
-           "", /*suppressed=*/true, false});
+           "", /*suppressed=*/true});
     }
   }
 }
@@ -512,20 +513,20 @@ void rule_trust_reports(const std::string& path, const CallGraph& graph,
 
 std::vector<Finding> scan_source(const std::string& path,
                                  const std::string& contents,
-                                 const Options& opt, const CallGraph* graph) {
+                                 const CallGraph* graph) {
   std::vector<LineInfo> lines = split_channels(contents);
   std::vector<Tok> toks = tokenize(lines);
   Directives dir = scan_directives(path, lines);
 
   std::vector<Finding> out;
-  rule_det_clock(path, toks, opt, &out);
+  rule_det_clock(path, toks, &out);
   detail_rule_det_umap_iter(path, toks, &out);
   rule_hot_no_alloc(path, toks, dir, &out);
   out.insert(out.end(), dir.region_errors.begin(), dir.region_errors.end());
   rule_fp_accumulate(path, toks, dir, &out);
   rule_simd_fp_order(path, toks, dir, &out);
   rule_err_swallow(path, toks, &out);
-  rule_nodiscard_result(path, toks, opt, &out);
+  rule_nodiscard_result(path, toks, &out);
   rule_rng_discipline(path, toks, graph, &out);
   if (graph != nullptr) {
     rule_transitive_hot(path, toks, dir, *graph, &out);
@@ -560,125 +561,21 @@ std::vector<Finding> scan_source(const std::string& path,
   return out;
 }
 
-std::vector<Finding> scan_file(const std::string& path,
-                               const std::string& report_as,
-                               const Options& opt, const CallGraph* graph) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    Finding f{report_as.empty() ? path : report_as, 0, "io",
-              "cannot open file", "", false, false};
-    f.parse_error = true;
-    return {f};
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return scan_source(report_as.empty() ? path : report_as, ss.str(), opt,
-                     graph);
-}
-
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
-                                  const Options& opt, const CallGraph* graph,
-                                  int jobs) {
-  if (jobs < 1) jobs = 1;
-  std::vector<std::vector<Finding>> slots(files.size());
-  std::atomic<std::size_t> next{0};
-  auto work = [&]() {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= files.size()) return;
-      slots[i] = scan_source(files[i].path, files[i].contents, opt, graph);
-    }
-  };
-  std::size_t n = std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                                        files.size());
-  if (n <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) pool.emplace_back(work);
-    for (std::thread& th : pool) th.join();
-  }
-  // Merge in input order: the report is byte-identical for any `jobs`.
+                                  const CallGraph* graph) {
   std::vector<Finding> out;
-  for (std::vector<Finding>& s : slots)
-    out.insert(out.end(), std::make_move_iterator(s.begin()),
-               std::make_move_iterator(s.end()));
-  return out;
-}
-
-std::string normalize_ws(const std::string& s) {
-  std::string out;
-  bool pending = false;
-  for (char c : s) {
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      pending = !out.empty();
-      continue;
-    }
-    if (pending) out += ' ';
-    pending = false;
-    out += c;
+  for (const SourceFile& f : files) {
+    std::vector<Finding> found = scan_source(f.path, f.contents, graph);
+    out.insert(out.end(), std::make_move_iterator(found.begin()),
+               std::make_move_iterator(found.end()));
   }
   return out;
-}
-
-std::string baseline_key(const Finding& f) {
-  std::ostringstream os;
-  os << norm_path(f.file) << "|" << f.rule << "|" << std::hex
-     << util::fnv1a64(normalize_ws(f.excerpt));
-  return os.str();
-}
-
-std::set<std::string> load_baseline(const std::string& path) {
-  std::set<std::string> keys;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string t = trimmed_line(line);
-    if (t.empty() || t[0] == '#') continue;
-    keys.insert(t);
-  }
-  return keys;
-}
-
-void apply_baseline(std::vector<Finding>& findings,
-                    const std::set<std::string>& baseline) {
-  for (Finding& f : findings)
-    if (!f.suppressed && baseline.count(baseline_key(f))) f.baselined = true;
 }
 
 bool has_active(const std::vector<Finding>& findings) {
   for (const Finding& f : findings)
-    if (!f.suppressed && !f.baselined) return true;
+    if (!f.suppressed) return true;
   return false;
-}
-
-bool write_file_atomic(const std::string& path, const std::string& data) {
-  try {
-    util::write_file_atomic(path, data);
-  } catch (const std::exception&) {
-    return false;  // the old target, if any, is untouched
-  }
-  return true;
-}
-
-bool update_baseline(const std::vector<Finding>& findings,
-                     const std::string& path) {
-  for (const Finding& f : findings)
-    if (f.parse_error) return false;
-  // Everything unsuppressed goes in: active findings get accepted, findings
-  // already baselined keep their entry. std::set sorts and dedups.
-  std::set<std::string> keys;
-  for (const Finding& f : findings)
-    if (!f.suppressed) keys.insert(baseline_key(f));
-  std::ostringstream os;
-  os << "# dimmer-lint baseline — regenerate with `dimmer-lint "
-        "--update-baseline`.\n"
-     << "# One `path|rule|hash` key per line; the hash covers the "
-        "whitespace-normalized\n"
-     << "# finding excerpt, so pure reformatting does not churn keys.\n";
-  for (const std::string& k : keys) os << k << "\n";
-  return write_file_atomic(path, os.str());
 }
 
 std::string json_report(std::vector<Finding> findings) {
@@ -690,35 +587,28 @@ std::string json_report(std::vector<Finding> findings) {
                    });
   std::map<std::string, int> counts;
   for (const Rule& r : rules()) counts[r.id] = 0;
-  int n_active = 0, n_suppressed = 0, n_baselined = 0;
+  int n_active = 0, n_suppressed = 0;
   for (const Finding& f : findings) {
-    if (f.suppressed)
+    if (f.suppressed) {
       ++n_suppressed;
-    else if (f.baselined)
-      ++n_baselined;
-    else {
+    } else {
       ++n_active;
       ++counts[f.rule];
     }
   }
   std::ostringstream os;
-  os << "{\n  \"tool\": \"dimmer-lint\",\n  \"version\": 2,\n  \"rules\": [\n";
+  os << "{\n  \"tool\": \"dimmer-lint\",\n  \"version\": 3,\n  \"rules\": [\n";
   for (std::size_t i = 0; i < rules().size(); ++i) {
     const Rule& r = rules()[i];
     os << "    {\"id\": " << util::json_quote(r.id)
        << ", \"summary\": " << util::json_quote(r.summary) << "}"
        << (i + 1 < rules().size() ? "," : "") << "\n";
   }
-  os << "  ],\n  \"counts\": {";
-  bool first = true;
-  for (const auto& [id, n] : counts) {
-    os << (first ? "" : ", ") << util::json_quote(id) << ": " << n;
-    first = false;
-  }
-  os << "},\n";
+  os << "  ],\n  \"counts\": ";
+  util::json_object(os, counts, [&](int n) { os << n; });
+  os << ",\n";
   os << "  \"total_active\": " << n_active << ",\n";
   os << "  \"total_suppressed\": " << n_suppressed << ",\n";
-  os << "  \"total_baselined\": " << n_baselined << ",\n";
   os << "  \"findings\": [";
   for (std::size_t i = 0; i < findings.size(); ++i) {
     const Finding& f = findings[i];
@@ -727,8 +617,7 @@ std::string json_report(std::vector<Finding> findings) {
        << ", \"line\": " << f.line << ", \"rule\": " << util::json_quote(f.rule)
        << ",\n     \"message\": " << util::json_quote(f.message)
        << ",\n     \"excerpt\": " << util::json_quote(f.excerpt)
-       << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
-       << ", \"baselined\": " << (f.baselined ? "true" : "false") << "}";
+       << ", \"suppressed\": " << (f.suppressed ? "true" : "false") << "}";
   }
   os << (findings.empty() ? "" : "\n  ") << "]\n}\n";
   return os.str();

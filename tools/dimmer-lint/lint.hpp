@@ -95,14 +95,10 @@
 //   // NOLINT-DIMMER(rule[,rule]) suppress the named rules on this line
 //   // NOLINTNEXTLINE-DIMMER[(rules)]  same, for the following line
 //
-// Baseline: a checked-in file of `path|rule|hash` keys (see baseline_key);
-// matching findings are reported as baselined and do not fail the run. The
-// shipped baseline (tools/dimmer-lint/baseline.txt) is empty — the repo is
-// clean — and a test asserts it stays that way.
+// Exit criterion: a run fails if any finding is not suppressed. There is no
+// baseline file: new findings are fixed or visibly NOLINT-DIMMER'd.
 #pragma once
 
-#include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -132,91 +128,32 @@ struct Finding {
   std::string message;
   std::string excerpt;      ///< trimmed source line
   bool suppressed = false;  ///< hit an inline NOLINT-DIMMER annotation
-  bool baselined = false;   ///< matched the baseline file
-  /// The finding reports the *scan itself* going wrong (unreadable file,
-  /// unbalanced hot-path region) rather than a code-level violation. A report
-  /// containing parse errors cannot be trusted as a complete picture, so
-  /// update_baseline refuses to snapshot it.
-  bool parse_error = false;
-};
-
-/// Scanner configuration. Defaults encode this repo's policy.
-struct Options {
-  /// Path prefixes (after '\' -> '/' normalization) where det-clock is
-  /// allowed: only the audited wall-clock wrapper seam itself. The lint tool
-  /// is *not* exempt — it lints itself in CI.
-  std::vector<std::string> clock_exempt_prefixes = {"src/util/"};
-  /// Result types that must be declared [[nodiscard]].
-  std::vector<std::string> nodiscard_types = {"FloodResult", "TrialResult",
-                                              "RoundResult"};
 };
 
 /// Scans one translation unit. `path` is used for reporting and for the
-/// path-scoped rules (det-clock exemptions, rng-discipline modules);
-/// `contents` is the source text. When `graph` is non-null the transitive
-/// rules run too. Findings are ordered by line.
+/// path-scoped rules (det-clock's src/util/ exemption, rng-discipline
+/// modules); `contents` is the source text. When `graph` is non-null the
+/// transitive rules run too. Findings are ordered by line.
 std::vector<Finding> scan_source(const std::string& path,
                                  const std::string& contents,
-                                 const Options& opt = Options(),
                                  const CallGraph* graph = nullptr);
 
-/// Reads `path` from disk and scans it. `report_as`, if non-empty, replaces
-/// `path` in the findings (used to keep report paths repo-relative).
-std::vector<Finding> scan_file(const std::string& path,
-                               const std::string& report_as = "",
-                               const Options& opt = Options(),
-                               const CallGraph* graph = nullptr);
-
-/// One in-memory source file for the batch scanner.
+/// One in-memory source file: the CLI reads every file once and both passes
+/// work from the same bytes.
 struct SourceFile {
   std::string path;  ///< reported verbatim in findings
   std::string contents;
 };
 
-/// Scans every file, fanning pass 2 out across `jobs` worker threads.
-/// Files are scanned independently and results merged in input order, so the
-/// output — and therefore the JSON report — is byte-identical for any `jobs`.
+/// scan_source over every file, results concatenated in input order.
 std::vector<Finding> scan_sources(const std::vector<SourceFile>& files,
-                                  const Options& opt = Options(),
-                                  const CallGraph* graph = nullptr,
-                                  int jobs = 1);
+                                  const CallGraph* graph);
 
-/// Collapses every run of whitespace in `s` to a single space and trims both
-/// ends (exposed for tests).
-std::string normalize_ws(const std::string& s);
-
-/// Stable baseline key: "path|rule|fnv1a64(whitespace-normalized excerpt)".
-/// Content-hashed rather than line-numbered so unrelated edits above a
-/// baselined finding do not invalidate it, and whitespace-normalized so pure
-/// reformatting (re-indentation) does not churn keys.
-std::string baseline_key(const Finding& f);
-
-/// Parses a baseline file: one key per line, '#' comments and blank lines
-/// ignored. A missing file yields an empty set.
-std::set<std::string> load_baseline(const std::string& path);
-
-/// Marks findings whose baseline_key is in `baseline` as baselined.
-void apply_baseline(std::vector<Finding>& findings,
-                    const std::set<std::string>& baseline);
-
-/// True if any finding is active (neither suppressed nor baselined) — the
-/// process exit criterion.
+/// True if any finding is not suppressed — the process exit criterion.
 bool has_active(const std::vector<Finding>& findings);
 
-/// Writes `data` to `path` atomically through util::write_file_atomic
-/// (sibling temp file, fsync, rename over the target, directory fsync).
-/// Returns false and leaves any existing `path` untouched on failure.
-bool write_file_atomic(const std::string& path, const std::string& data);
-
-/// Snapshots the current unsuppressed findings as a sorted, deduped baseline
-/// file, written atomically. Refuses (returns false, touches nothing) when
-/// any finding is a parse error — a broken scan must not be immortalized as
-/// the accepted state.
-bool update_baseline(const std::vector<Finding>& findings,
-                     const std::string& path);
-
 /// Machine-readable report: rule table, per-rule active counts, and every
-/// finding (including suppressed/baselined ones, flagged as such). Output is
+/// finding (including suppressed ones, flagged as such). Output is
 /// byte-deterministic: findings sorted by (file, line, rule), numbers
 /// emitted via util::json_number.
 std::string json_report(std::vector<Finding> findings);

@@ -1,49 +1,35 @@
 // dimmer-lint CLI. See lint.hpp for the rule catalogue.
 //
 // Usage:
-//   dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]
-//               [--index-cache FILE] [--jobs N]
-//               [--update-baseline] [--write-baseline FILE]
-//               [--list-rules] [--quiet]
+//   dimmer-lint [--root DIR] [--json FILE] [--list-rules] [--quiet]
 //               <file-or-directory>...
 //
 // Directories are scanned recursively for .cpp/.cc/.hpp/.h files (build
 // trees and dotted directories are skipped). Paths in diagnostics and in the
 // JSON report are made relative to --root (default: the current directory)
-// so reports are machine-independent and baseline keys are stable.
+// so reports are machine-independent.
 //
-// Two passes over the collected files:
-//   1. index: every file is function-extracted into the cross-TU call graph
-//      (index.hpp). With --index-cache, per-file indexes are reused when the
-//      file's content hash matches and the merged index is written back
-//      atomically — a warm cache changes nothing but wall time.
-//   2. rules: the per-file rules plus the transitive/taint rules run against
-//      the graph, fanned out over --jobs threads. Results merge in file
-//      order, so the report is byte-identical for any --jobs value.
+// One pipeline, no modes: read every file once, index each into the cross-TU
+// call graph (index.hpp), run the per-file and transitive rules against the
+// graph, print the active findings, and write the JSON report if --json is
+// given.
 //
-// --update-baseline snapshots the current unsuppressed findings into the
-// --baseline file (sorted, deduped, written atomically) and exits 0; it
-// refuses — exit 2, baseline untouched — when the scan itself reported
-// errors (unreadable file, unbalanced hot-path region).
-//
-// Exit status: 0 if every finding is suppressed or baselined, 1 otherwise,
-// 2 on usage errors. CI runs:
-//   dimmer-lint --root . --baseline tools/dimmer-lint/baseline.txt
-//               --json lint-report.json --index-cache lint-index.txt
-//               --jobs 4 src bench examples tools
+// Exit status: 0 if every finding is suppressed by NOLINT-DIMMER (or an
+// fp-order-ok / simd-fp-order-ok / pure() annotation), 1 otherwise, 2 on
+// usage errors or when the --json report cannot be written. CI runs:
+//   dimmer-lint --root . --json lint-report.json src bench examples tools
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "index.hpp"
 #include "lint.hpp"
-#include "util/parse.hpp"
+#include "util/atomic_file.hpp"
 
 namespace fs = std::filesystem;
 using dimmer::lint::FileIndex;
@@ -102,20 +88,16 @@ std::string relative_to(const fs::path& p, const fs::path& root) {
 
 int usage(int code) {
   std::cerr
-      << "usage: dimmer-lint [--root DIR] [--baseline FILE] [--json FILE]\n"
-         "                   [--index-cache FILE] [--jobs N]\n"
-         "                   [--update-baseline] [--write-baseline FILE]\n"
-         "                   [--list-rules] [--quiet] <path>...\n";
+      << "usage: dimmer-lint [--root DIR] [--json FILE] [--list-rules] "
+         "[--quiet] <path>...\n";
   return code;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".", baseline_path, json_path, write_baseline_path;
-  std::string index_cache_path;
-  bool list_rules = false, quiet = false, update_baseline = false;
-  int jobs = 1;
+  std::string root = ".", json_path;
+  bool list_rules = false, quiet = false;
   std::vector<std::string> inputs;
 
   for (int i = 1; i < argc; ++i) {
@@ -129,23 +111,8 @@ int main(int argc, char** argv) {
     };
     if (a == "--root")
       root = next();
-    else if (a == "--baseline")
-      baseline_path = next();
     else if (a == "--json")
       json_path = next();
-    else if (a == "--index-cache")
-      index_cache_path = next();
-    else if (a == "--jobs") {
-      const std::optional<int> v = dimmer::util::parse_positive_int(next());
-      if (!v) {
-        std::cerr << "dimmer-lint: --jobs needs a positive integer\n";
-        return 2;
-      }
-      jobs = *v;
-    } else if (a == "--update-baseline")
-      update_baseline = true;
-    else if (a == "--write-baseline")
-      write_baseline_path = next();
     else if (a == "--list-rules")
       list_rules = true;
     else if (a == "--quiet")
@@ -185,10 +152,6 @@ int main(int argc, char** argv) {
     if (inputs.empty()) return 0;
   }
   if (inputs.empty()) return usage(2);
-  if (update_baseline && baseline_path.empty()) {
-    std::cerr << "dimmer-lint: --update-baseline needs --baseline FILE\n";
-    return 2;
-  }
 
   // Relative inputs are resolved against --root, so the CLI behaves the same
   // from any working directory (CI runs from the repo root; the CMake `lint`
@@ -202,18 +165,16 @@ int main(int argc, char** argv) {
   }
   if (!inputs_ok) return 2;
 
-  // Read every file once; both passes work from the same bytes. Unreadable
-  // files become parse-error findings so they fail the run (and block
-  // --update-baseline) instead of silently shrinking the scan.
+  // Read every file once; both passes work from the same bytes. An
+  // unreadable file is an active finding, so it fails the run instead of
+  // silently shrinking the scan.
   std::vector<SourceFile> files;
   std::vector<Finding> findings;
   for (const fs::path& f : paths) {
     std::string rel = relative_to(f, root);
     std::ifstream in(f, std::ios::binary);
     if (!in) {
-      Finding err{rel, 0, "io", "cannot open file", "", false, false};
-      err.parse_error = true;
-      findings.push_back(err);
+      findings.push_back({rel, 0, "io", "cannot open file", "", false});
       continue;
     }
     std::stringstream ss;
@@ -221,66 +182,19 @@ int main(int argc, char** argv) {
     files.push_back({rel, ss.str()});
   }
 
-  // Pass 1: per-file function indexes (cache-reused by content hash), merged
-  // into the cross-TU call graph. Cached entries for files that no longer
-  // exist are dropped on the rewrite.
-  std::map<std::string, FileIndex> cached;
-  if (!index_cache_path.empty()) {
-    std::ifstream in(index_cache_path, std::ios::binary);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      std::vector<FileIndex> entries;
-      // An unparsable (old-version, truncated) cache degrades to a full
-      // re-extraction, never to a wrong graph.
-      if (dimmer::lint::parse_index(ss.str(), &entries))
-        for (FileIndex& fi : entries) cached[fi.file] = std::move(fi);
-    }
-  }
   std::vector<FileIndex> index;
   index.reserve(files.size());
-  for (const SourceFile& sf : files) {
-    auto it = cached.find(sf.path);
-    index.push_back(dimmer::lint::index_or_reuse(
-        sf.path, sf.contents, it == cached.end() ? nullptr : &it->second));
-  }
-  if (!index_cache_path.empty() &&
-      !dimmer::lint::write_file_atomic(index_cache_path,
-                                       dimmer::lint::serialize_index(index)))
-    std::cerr << "dimmer-lint: warning: cannot write index cache "
-              << index_cache_path << "\n";
-  dimmer::lint::CallGraph graph = dimmer::lint::build_call_graph(index);
-
-  // Pass 2: the rules, with transitive knowledge, across --jobs threads.
-  dimmer::lint::Options opt;
-  std::vector<Finding> scanned =
-      dimmer::lint::scan_sources(files, opt, &graph, jobs);
+  for (const SourceFile& sf : files)
+    index.push_back(dimmer::lint::index_source(sf.path, sf.contents));
+  const dimmer::lint::CallGraph graph =
+      dimmer::lint::build_call_graph(std::move(index));
+  std::vector<Finding> scanned = dimmer::lint::scan_sources(files, &graph);
   findings.insert(findings.end(), scanned.begin(), scanned.end());
 
-  if (update_baseline) {
-    if (!dimmer::lint::update_baseline(findings, baseline_path)) {
-      std::cerr << "dimmer-lint: refusing to update baseline: the report "
-                   "contains parse errors (or the write failed); fix the "
-                   "scan first\n";
-      return 2;
-    }
-    if (!quiet)
-      std::cerr << "dimmer-lint: baseline updated: " << baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty())
-    dimmer::lint::apply_baseline(findings,
-                                 dimmer::lint::load_baseline(baseline_path));
-
-  int active = 0, suppressed = 0, baselined = 0;
+  int active = 0, suppressed = 0;
   for (const Finding& f : findings) {
     if (f.suppressed) {
       ++suppressed;
-      continue;
-    }
-    if (f.baselined) {
-      ++baselined;
       continue;
     }
     ++active;
@@ -289,21 +203,19 @@ int main(int argc, char** argv) {
                 << f.message << "\n    " << f.excerpt << "\n";
   }
 
-  if (!write_baseline_path.empty() &&
-      !dimmer::lint::update_baseline(findings, write_baseline_path)) {
-    std::cerr << "dimmer-lint: refusing to write baseline: the report "
-                 "contains parse errors (or the write failed)\n";
-    return 2;
-  }
-
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << dimmer::lint::json_report(findings);
+    try {
+      dimmer::util::write_file_atomic(json_path,
+                                      dimmer::lint::json_report(findings));
+    } catch (const std::exception& e) {
+      std::cerr << "dimmer-lint: cannot write " << json_path << ": "
+                << e.what() << "\n";
+      return 2;
+    }
   }
 
   if (!quiet)
     std::cerr << "dimmer-lint: " << files.size() << " files, " << active
-              << " active, " << suppressed << " suppressed, " << baselined
-              << " baselined\n";
-  return dimmer::lint::has_active(findings) ? 1 : 0;
+              << " active, " << suppressed << " suppressed\n";
+  return active > 0 ? 1 : 0;
 }
