@@ -109,7 +109,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(expected: radio-on time decreases with C — higher C"
                " trades reliability for energy)\n";
-  exp::write_json("ablation_reward", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("ablation_reward", trials, sweep.jobs, wall);
 }

@@ -161,7 +161,5 @@ int main() {
             << "(the coarse table collapses the continuous per-node feedback"
                " the DQN exploits; the paper's\n full input space would need"
                " a table exponential in K and is unrepresentable)\n";
-  exp::write_json("ablation_tabular", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("ablation_tabular", trials, sweep.jobs, wall);
 }

@@ -237,7 +237,5 @@ int main() {
                " every backup at epoch " << kill_epoch
             << "; the federation hands its flows to the parent cell via the"
                " shared gateway)\n";
-  exp::write_json("city_scale", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("city_scale", trials, sweep.jobs, wall);
 }

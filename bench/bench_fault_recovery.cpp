@@ -176,7 +176,5 @@ int main() {
                " 'dip' is the worst single-round reliability after the"
                " crash;\n'resync' counts rounds from takeover until every"
                " alive node holds a schedule again.\n";
-  exp::write_json("fault_recovery", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("fault_recovery", trials, sweep.jobs, wall);
 }

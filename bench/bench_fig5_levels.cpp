@@ -120,7 +120,5 @@ int main() {
                " needs less energy below ~15% for similar reliability;\n"
                " LWB's reliability degrades but some slots fit between"
                " bursts)\n";
-  exp::write_json("fig5_levels", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("fig5_levels", trials, sweep.jobs, wall);
 }

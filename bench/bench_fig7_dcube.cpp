@@ -152,7 +152,5 @@ int main() {
   table.print(std::cout);
   std::cout << "\n(paper: LWB 100/93.6/27%; Dimmer 100/98.3/95.8% without"
                " retraining; Crystal 100/100/99%)\n";
-  exp::write_json("fig7_dcube", trials,
-                  {.jobs = sweep.jobs, .wall_seconds = wall}, &std::cerr);
-  return 0;
+  return bench::finish("fig7_dcube", trials, sweep.jobs, wall);
 }

@@ -1,10 +1,13 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Scaling: every harness honours DIMMER_BENCH_SCALE (a positive number,
-// parsed strictly — "0.25x" is an error, not 0.25; default 1.0).
-// Values below 1 shrink run lengths / model counts proportionally for quick
-// smoke runs (e.g. DIMMER_BENCH_SCALE=0.25); values above 1 extend them
-// toward the paper's full durations.
+// Scaling: every harness reads DIMMER_BENCH_SCALE (a positive number,
+// parsed strictly — "0.25x" is an error, not 0.25; default 1.0), so a
+// malformed value aborts any of them. Values below 1 shrink run lengths /
+// model counts proportionally for quick smoke runs (e.g.
+// DIMMER_BENCH_SCALE=0.25); values above 1 extend them toward the paper's
+// full durations. bench_fig4_dynamic is the exception: it validates the
+// value but keeps its fixed 27-minute timeline at any scale, so its frozen
+// artifact is the same for every scale.
 //
 // The trained policy is cached in ./dimmer_dqn.mlp (or $DIMMER_POLICY): the
 // first bench that needs it trains once, subsequent benches reuse it — the
@@ -23,6 +26,7 @@
 #include "core/controller.hpp"
 #include "core/pretrained.hpp"
 #include "exp/campaign.hpp"
+#include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "phy/topology.hpp"
 #include "rl/quantized.hpp"
@@ -114,6 +118,19 @@ inline void require_all_ok(const std::vector<exp::Trial>& trials) {
       ok = false;
     }
   if (!ok) std::exit(1);
+}
+
+/// The last step of a sweep bench: writes BENCH_<name>.json and returns the
+/// process's exit code, 1 when the artifact was not written (the reason is
+/// on stderr), so a run that left no artifact never reads as a success.
+inline int finish(const std::string& name,
+                  const std::vector<exp::Trial>& trials, int jobs,
+                  double wall_seconds) {
+  return exp::write_json(name, trials,
+                         {.jobs = jobs, .wall_seconds = wall_seconds},
+                         &std::cerr)
+             ? 0
+             : 1;
 }
 
 /// All 18 nodes broadcast every round (paper §V-A: periodic 4 s traffic).

@@ -4,6 +4,7 @@
 //
 //   ./examples/dcube_collection [--protocol dimmer|lwb|crystal]
 //                               [--wifi 0|1|2] [--minutes 10] [--seed 9]
+//                               [--policy FILE]
 #include <iostream>
 #include <memory>
 
@@ -56,8 +57,10 @@ int main(int argc, char** argv) {
   if (protocol == "dimmer") {
     // "We reuse the DQN trained for 18 nodes against 802.15.4 interference"
     core::PretrainedOptions opt;
-    rl::Mlp net = core::load_or_train_policy(
-        cli.get("policy", "dimmer_dqn.mlp"), opt, &std::cout);
+    rl::Mlp net =
+        cli.has("policy")
+            ? core::load_policy(cli.get("policy", ""))
+            : core::load_or_train_policy("dimmer_dqn.mlp", opt, &std::cout);
     controller = std::make_unique<core::DqnController>(rl::QuantizedMlp(net),
                                                        opt.features);
     cfg.round.hop_sequence.assign(phy::default_hopping_sequence().begin(),

@@ -4,7 +4,11 @@
 // series of N_TX, reliability, and radio-on time for the chosen controller.
 //
 //   ./examples/dynamic_interference [--controller dqn|pid|static]
-//                                   [--policy dimmer_dqn.mlp] [--seed 3]
+//                                   [--policy FILE] [--seed 3]
+//
+// --policy loads a file train_dqn wrote, whatever budget trained it;
+// without it the default policy is loaded from (or trained into) the
+// dimmer_dqn.mlp cache.
 #include <iostream>
 #include <memory>
 
@@ -33,8 +37,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::AdaptivityController> controller;
   if (kind == "dqn") {
     core::PretrainedOptions opt;
-    rl::Mlp net = core::load_or_train_policy(cli.get("policy", "dimmer_dqn.mlp"),
-                                             opt, &std::cout);
+    rl::Mlp net =
+        cli.has("policy")
+            ? core::load_policy(cli.get("policy", ""))
+            : core::load_or_train_policy("dimmer_dqn.mlp", opt, &std::cout);
     controller = std::make_unique<core::DqnController>(rl::QuantizedMlp(net),
                                                        opt.features);
   } else if (kind == "pid") {

@@ -95,7 +95,10 @@ int main() {
   table.print(std::cout);
   std::cout << "\n15% jamming: reliability climbs with N_TX while radio-on"
                " cost grows — the trade-off Dimmer's DQN navigates.\n";
-  exp::write_json("example_sweep", trials,
-                  {.jobs = runner.jobs(), .wall_seconds = wall}, &std::cout);
-  return 0;
+  // A run that left no artifact must not read as a success.
+  return exp::write_json("example_sweep", trials,
+                         {.jobs = runner.jobs(), .wall_seconds = wall},
+                         &std::cout)
+             ? 0
+             : 1;
 }

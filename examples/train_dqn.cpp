@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
 
   rl::Mlp net = core::train_default_policy(opt, &std::cout);
 
-  std::ofstream os(out);
-  if (!os.good()) {
+  // The header keys the file on `opt`, so a figure bench that finds it in
+  // its directory retrains instead of deploying a reduced-budget policy.
+  if (!core::save_policy(out, net, opt)) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  net.save(os);
 
   rl::QuantizedMlp q(net);
   std::cout << "[dimmer] saved policy to " << out << '\n'

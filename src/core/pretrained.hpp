@@ -33,15 +33,30 @@ struct PretrainedOptions {
   std::size_t validation_steps = 700;
 };
 
-/// Loads the cached policy from `cache_path` if it exists and matches the
-/// feature configuration; otherwise collects traces, trains, and saves.
+/// Loads the cached policy from `cache_path` if its header carries the
+/// digest of `options` (every field) and its shape matches the features;
+/// otherwise (no file, no header, other options, a truncated or corrupt
+/// file) collects traces, trains, and rewrites the cache atomically.
 /// Progress notes go to `log` when non-null.
 rl::Mlp load_or_train_policy(const std::string& cache_path,
                              const PretrainedOptions& options,
                              std::ostream* log = nullptr);
 
-/// Trains a fresh policy (no cache interaction).
+/// Trains a fresh policy (no cache interaction). The trace datasets and the
+/// candidates train on util::jobs_from_env() workers; the result is the
+/// same for any worker count.
 rl::Mlp train_default_policy(const PretrainedOptions& options,
                              std::ostream* log = nullptr);
+
+/// Writes `net` as a policy file: a "dimmer-policy 1 <digest of options>"
+/// header line, then Mlp::save's text. Atomic (util::write_file_atomic);
+/// false when the file could not be written.
+bool save_policy(const std::string& path, const rl::Mlp& net,
+                 const PretrainedOptions& options);
+
+/// Reads a policy file written by save_policy, whatever options trained it
+/// (an explicitly chosen policy, not a cache). Throws util::RequireError on
+/// a missing, header-less or corrupt file.
+rl::Mlp load_policy(const std::string& path);
 
 }  // namespace dimmer::core

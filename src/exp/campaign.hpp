@@ -97,7 +97,7 @@ std::string campaign_checkpoint_path(const std::string& dir);
 
 /// Shard count for bench campaign mode: DIMMER_CAMPAIGN_SHARDS if set
 /// (strict full-string parse, in [1, 999]), else 1. Same loud-failure
-/// discipline as jobs_from_env().
+/// discipline as util::jobs_from_env().
 int campaign_shards_from_env();
 
 class Campaign {

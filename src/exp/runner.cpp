@@ -11,16 +11,6 @@
 
 namespace dimmer::exp {
 
-int jobs_from_env() {
-  // Strict full-string parse (util/parse.hpp): "8x", "0x10", " 8" and
-  // out-of-range values fail loudly, so a mistyped override can't run a
-  // sweep at the wrong parallelism unnoticed.
-  if (const std::optional<int> v = util::env_positive_int("DIMMER_JOBS"))
-    return *v;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 double trial_timeout_from_env() {
   return util::env_positive_double("DIMMER_TRIAL_TIMEOUT_S").value_or(0.0);
 }
@@ -38,7 +28,7 @@ std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,
 Runner::Runner() : Runner(Options{}) {}
 
 Runner::Runner(Options opt)
-    : jobs_(opt.jobs > 0 ? opt.jobs : jobs_from_env()),
+    : jobs_(opt.jobs > 0 ? opt.jobs : util::jobs_from_env()),
       master_seed_(opt.master_seed),
       trial_timeout_s_(opt.trial_timeout_s < 0.0 ? trial_timeout_from_env()
                                                  : opt.trial_timeout_s) {}

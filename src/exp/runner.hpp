@@ -76,13 +76,10 @@ struct Trial {
 /// not touch global mutable state; it may read shared const inputs.
 using TrialFn = std::function<TrialResult(const TrialSpec&, util::Pcg32&)>;
 
-/// Worker count: DIMMER_JOBS if set to a positive integer, else
-/// std::thread::hardware_concurrency() (at least 1).
-int jobs_from_env();
-
 /// Per-trial wall-clock deadline in seconds: DIMMER_TRIAL_TIMEOUT_S if set
 /// (strict full-string parse; must be a positive finite number), else 0
-/// (watchdog disabled). Same loud-failure discipline as jobs_from_env().
+/// (watchdog disabled). Same loud-failure discipline as
+/// util::jobs_from_env().
 double trial_timeout_from_env();
 
 /// Fork every trial's generator from one root in spec order: the stream a
@@ -96,7 +93,7 @@ std::vector<util::Pcg32> fork_trial_rngs(const std::vector<TrialSpec>& specs,
 class Runner {
  public:
   struct Options {
-    int jobs = 0;  ///< 0 = jobs_from_env()
+    int jobs = 0;  ///< 0 = util::jobs_from_env()
     /// Root of the per-trial fork tree; fixed so a sweep's RNG streams are
     /// reproducible across runs and machines.
     std::uint64_t master_seed = 0xD133E201ULL;

@@ -16,7 +16,12 @@ DqnAgent::DqnAgent(DqnConfig cfg, std::uint64_t seed)
       target_(cfg.architecture, seed),
       adam_(online_, Adam::Config{cfg.lr, 0.9, 0.999, 1e-8}),
       replay_(cfg.replay_capacity),
-      grads_(online_.make_grads()) {
+      grads_(online_.make_grads()),
+      states_(online_, cfg.batch_size),
+      next_states_(online_, cfg.batch_size),
+      sample_(cfg.batch_size),
+      a_star_(cfg.batch_size),
+      one_(online_, 1) {
   DIMMER_REQUIRE(cfg_.gamma >= 0.0 && cfg_.gamma < 1.0, "gamma out of [0,1)");
   DIMMER_REQUIRE(cfg_.batch_size > 0, "batch size must be positive");
   DIMMER_REQUIRE(cfg_.min_replay_before_training >= cfg_.batch_size,
@@ -34,12 +39,24 @@ double DqnAgent::epsilon() const {
          frac * (cfg_.epsilon_end - cfg_.epsilon_start);
 }
 
+namespace {
+/// Index of sample s's first largest output: std::max_element's pick.
+int argmax(const MlpBatch& io, int outputs, std::size_t s) {
+  int best = 0;
+  for (int f = 1; f < outputs; ++f)
+    if (io.output(best)[s] < io.output(f)[s]) best = f;
+  return best;
+}
+}  // namespace
+
 int DqnAgent::select_action(const std::vector<double>& state,
                             util::Pcg32& rng) {
   if (rng.uniform() < epsilon())
     return static_cast<int>(
         rng.uniform_below(static_cast<std::uint32_t>(online_.output_size())));
-  return greedy_action(state);
+  one_.set_input(0, state);
+  online_.forward_batch(one_);
+  return argmax(one_, online_.output_size(), 0);
 }
 
 int DqnAgent::greedy_action(const std::vector<double>& state) const {
@@ -92,29 +109,39 @@ void DqnAgent::train_step(util::Pcg32& rng) {
                                     static_cast<double>(cfg_.lr_decay_steps));
     adam_.set_learning_rate(cfg_.lr + frac * (cfg_.lr_final - cfg_.lr));
   }
-  Mlp::zero_grads(grads_);
-  auto idx = replay_.sample_indices(cfg_.batch_size, rng);
+  replay_.sample_indices(cfg_.batch_size, rng, sample_);
+  const std::size_t n = sample_.size();
+  for (std::size_t s = 0; s < n; ++s) {
+    const Transition& tr = replay_.at(sample_[s]);
+    states_.set_input(s, tr.state);
+    // A terminal transition's next state is never read (it may be empty):
+    // its lane keeps the values it held.
+    if (!tr.done) next_states_.set_input(s, tr.next_state);
+  }
+  // The weights stay fixed until Adam runs, so each pass covers the whole
+  // batch at once.
+  const int outputs = online_.output_size();
+  if (cfg_.double_dqn) {
+    online_.forward_batch(next_states_);
+    for (std::size_t s = 0; s < n; ++s)
+      a_star_[s] = argmax(next_states_, outputs, s);
+  }
+  target_.forward_batch(next_states_);
+  online_.forward_batch(states_);
+
   double loss_acc = 0.0;
-  ForwardCache cache;
-  for (std::size_t i : idx) {
-    const Transition& tr = replay_.at(i);
+  for (std::size_t s = 0; s < n; ++s) {
+    const Transition& tr = replay_.at(sample_[s]);
     // TD target: r + gamma * Q_target(s', a*) with a* = argmax Q_online
     // (Double DQN) or argmax Q_target (vanilla); 0 bootstrap if done.
     double target_v = tr.reward;
     if (!tr.done) {
       double disc = tr.discount > 0.0 ? tr.discount : cfg_.gamma;
-      std::vector<double> qn = target_.forward(tr.next_state);
-      if (cfg_.double_dqn) {
-        std::vector<double> qo = online_.forward(tr.next_state);
-        auto a_star = static_cast<std::size_t>(
-            std::max_element(qo.begin(), qo.end()) - qo.begin());
-        target_v += disc * qn[a_star];
-      } else {
-        target_v += disc * *std::max_element(qn.begin(), qn.end());
-      }
+      const int a_star =
+          cfg_.double_dqn ? a_star_[s] : argmax(next_states_, outputs, s);
+      target_v += disc * next_states_.output(a_star)[s];
     }
-    std::vector<double> q = online_.forward_cached(tr.state, cache);
-    double td = q[static_cast<std::size_t>(tr.action)] - target_v;
+    double td = states_.output(tr.action)[s] - target_v;
 
     // Huber loss gradient on the chosen action only.
     double d = cfg_.huber_delta;
@@ -122,10 +149,10 @@ void DqnAgent::train_step(util::Pcg32& rng) {
     loss_acc += std::abs(td) <= d ? 0.5 * td * td
                                   : d * (std::abs(td) - 0.5 * d);
 
-    std::vector<double> dout(q.size(), 0.0);
-    dout[static_cast<std::size_t>(tr.action)] = g;
-    online_.backward(cache, dout, grads_);
+    for (int f = 0; f < outputs; ++f) states_.output_grad(f)[s] = 0.0;
+    states_.output_grad(tr.action)[s] = g;
   }
+  online_.backward_batch(states_, grads_);
   adam_.step(online_, grads_, 1.0 / static_cast<double>(cfg_.batch_size));
   ++train_steps_;
   recent_loss_ = 0.99 * recent_loss_ +
@@ -175,7 +202,6 @@ void DqnAgent::restore_checkpoint(std::istream& is) {
   recent_loss_ = loss;
   // Adam moments are not checkpointed; the optimiser restarts cold.
   adam_ = Adam(online_, Adam::Config{cfg_.lr, 0.9, 0.999, 1e-8});
-  grads_ = online_.make_grads();
 }
 
 }  // namespace dimmer::rl

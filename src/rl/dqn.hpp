@@ -59,6 +59,7 @@ class DqnAgent {
   std::size_t steps() const { return env_steps_; }
   std::size_t train_steps() const { return train_steps_; }
   const Mlp& online_network() const { return online_; }
+  const Mlp& target_network() const { return target_; }
   Mlp& mutable_online_network() { return online_; }
   const DqnConfig& config() const { return cfg_; }
   const ReplayBuffer& replay() const { return replay_; }
@@ -92,6 +93,14 @@ class DqnAgent {
   Adam adam_;
   ReplayBuffer replay_;
   std::vector<LayerGrads> grads_;
+  // train_step's workspace, sized once: the sampled states and next states
+  // as [feature][sample] batches, their replay indices and (Double DQN)
+  // each sample's bootstrap action.
+  MlpBatch states_;
+  MlpBatch next_states_;
+  std::vector<std::size_t> sample_;
+  std::vector<int> a_star_;
+  MlpBatch one_;  ///< select_action's single state
   std::size_t env_steps_ = 0;
   std::size_t train_steps_ = 0;
   double recent_loss_ = 0.0;

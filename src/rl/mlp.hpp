@@ -29,11 +29,47 @@ struct LayerGrads {
   std::vector<double> db;
 };
 
-/// Cached activations from a forward pass, needed for backprop.
-struct ForwardCache {
-  std::vector<std::vector<double>> inputs;      ///< input to each layer
-  std::vector<std::vector<double>> pre_act;     ///< W x + b per layer
-  std::vector<double> output;
+class Mlp;
+
+/// A batch of samples laid out [feature][sample] for Mlp::forward_batch and
+/// Mlp::backward_batch: feature f of sample s is element s of row f, and a
+/// row holds the batch rounded up to the kernel's lane count. The lanes
+/// past the batch are padding: they hold finite values and nothing reads
+/// them back. The batch keeps every layer's activations for the backward pass
+/// and owns that pass's scratch, all sized at construction, so passes over
+/// it never allocate.
+class MlpBatch {
+ public:
+  /// Buffers for `net`'s shape over `batch` >= 1 samples, zero-filled.
+  MlpBatch(const Mlp& net, std::size_t batch);
+
+  /// Writes sample s's network input (input_size() features).
+  void set_input(std::size_t s, const std::vector<double>& x);
+  /// Row f of the network output, valid after Mlp::forward_batch.
+  const double* output(int f) const {
+    return &act_[out_offset_ + static_cast<std::size_t>(f) * stride_];
+  }
+  /// Row f of dLoss/dOutput, which the caller fills for Mlp::backward_batch.
+  /// Starts zeroed; backward_batch only reads it.
+  double* output_grad(int f) {
+    return &dout_[static_cast<std::size_t>(f) * stride_];
+  }
+
+ private:
+  friend class Mlp;
+
+  std::vector<int> widths_;  ///< input width, then each layer's output width
+  std::size_t batch_;
+  std::size_t stride_;
+  std::size_t out_offset_ = 0;
+  std::vector<double> act_;   ///< every layer's input rows, then the output
+  std::vector<double> dout_;  ///< [out][stride]
+  // Backward scratch, out_pad = a layer's outputs rounded up to the SIMD
+  // width.
+  std::vector<double> delta_;    ///< two [max width][stride] buffers
+  std::vector<double> delta_t_;  ///< delta sample-major, [batch][out_pad]
+  std::vector<double> grad_t_;   ///< [in][out_pad] dW transposed, then dB
+  std::vector<double> ones_;     ///< the bias's input: batch x 1.0
 };
 
 class Mlp {
@@ -48,21 +84,22 @@ class Mlp {
   const std::vector<DenseLayer>& layers() const { return layers_; }
   std::vector<DenseLayer>& mutable_layers() { return layers_; }
 
-  /// Plain inference.
+  /// Plain inference: the forward_batch kernel over a batch of one.
   std::vector<double> forward(const std::vector<double>& x) const;
 
-  /// Inference keeping activations for a later backward() call.
-  std::vector<double> forward_cached(const std::vector<double>& x,
-                                     ForwardCache& cache) const;
+  /// Runs every sample of `io` through the network, keeping each layer's
+  /// activations in `io`. A sample's outputs have the same bits as
+  /// forward() on it, whatever the batch.
+  void forward_batch(MlpBatch& io) const;
 
-  /// Backprop dLoss/dOutput through the cache, accumulating into `grads`
-  /// (which must match shapes(); call zero_grads() first for a fresh batch).
-  void backward(const ForwardCache& cache, const std::vector<double>& dout,
-                std::vector<LayerGrads>& grads) const;
+  /// Backpropagates io's output_grad rows through the activations of the
+  /// last forward_batch(io) and writes the gradient summed over the batch
+  /// into `grads` (overwriting it): each parameter's sum starts at zero and
+  /// adds the samples in order.
+  void backward_batch(MlpBatch& io, std::vector<LayerGrads>& grads) const;
 
   /// Gradient buffers matching this network's shape, zero-initialised.
   std::vector<LayerGrads> make_grads() const;
-  static void zero_grads(std::vector<LayerGrads>& grads);
 
   /// Copy all parameters from another identically-shaped network.
   void copy_parameters_from(const Mlp& other);

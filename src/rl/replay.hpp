@@ -55,14 +55,14 @@ class ReplayBuffer {
     return buf_[i];
   }
 
-  /// Uniform sample with replacement of `n` transition indices.
-  std::vector<std::size_t> sample_indices(std::size_t n,
-                                          util::Pcg32& rng) const {
+  /// Uniform sample with replacement of `n` transition indices into `out`
+  /// (resized to n; a reused buffer is not reallocated).
+  void sample_indices(std::size_t n, util::Pcg32& rng,
+                      std::vector<std::size_t>& out) const {
     DIMMER_REQUIRE(!buf_.empty(), "cannot sample from an empty buffer");
-    std::vector<std::size_t> out(n);
+    out.resize(n);
     for (auto& i : out)
       i = rng.uniform_below(static_cast<std::uint32_t>(buf_.size()));
-    return out;
   }
 
  private:

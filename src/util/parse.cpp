@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "util/check.hpp"
 
@@ -55,6 +56,14 @@ std::optional<int> env_positive_int(const char* name) {
   DIMMER_REQUIRE(v.has_value(),
                  std::string(name) + " must be an integer in [1, INT_MAX]");
   return v;
+}
+
+int jobs_from_env() {
+  // A mistyped override ("8x", " 8") fails loudly rather than running at
+  // an unintended parallelism.
+  if (const std::optional<int> v = env_positive_int("DIMMER_JOBS")) return *v;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 std::optional<double> env_positive_double(const char* name) {

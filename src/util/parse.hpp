@@ -37,4 +37,9 @@ std::optional<int> env_positive_int(const char* name);
 /// positive finite number") when set to anything else, including "".
 std::optional<double> env_positive_double(const char* name);
 
+/// Worker count for every parallel stage (sweeps, policy training):
+/// DIMMER_JOBS as env_positive_int if set, else
+/// std::thread::hardware_concurrency() (at least 1).
+int jobs_from_env();
+
 }  // namespace dimmer::util

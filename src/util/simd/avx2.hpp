@@ -60,6 +60,19 @@ struct simd<double, 4> {
   }
 };
 
+/// a * b + c. This build has no -mfma, so the product is rounded first,
+/// as GCC evaluates the expression in the build's scalar code.
+inline simd<double, 4> mul_add(simd<double, 4> a, simd<double, 4> b,
+                               simd<double, 4> c) {
+  return simd<double, 4>(_mm256_add_pd(_mm256_mul_pd(a.v, b.v), c.v));
+}
+
+/// a * b rounded, then + c: the same operation as mul_add on this build.
+inline simd<double, 4> mul_then_add(simd<double, 4> a, simd<double, 4> b,
+                                    simd<double, 4> c) {
+  return mul_add(a, b, c);
+}
+
 inline simd<double, 4> max(simd<double, 4> a, simd<double, 4> b) {
   // (a < b) ? b : a — std::max semantics, not vmaxpd.
   const __m256d lt = _mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ);

@@ -53,6 +53,22 @@ struct simd<double, 8> {
   }
 };
 
+/// a * b + c, fused (one rounding): -mavx512f enables FMA, and GCC
+/// contracts `a * b + c` in the build's scalar code into the same operation.
+inline simd<double, 8> mul_add(simd<double, 8> a, simd<double, 8> b,
+                               simd<double, 8> c) {
+  return simd<double, 8>(_mm512_fmadd_pd(a.v, b.v, c.v));
+}
+
+/// a * b rounded, then + c: never fused. _mm512_mul_pd is a plain vector
+/// multiply that GCC would contract with the add; the _round form is an
+/// opaque builtin it leaves alone.
+inline simd<double, 8> mul_then_add(simd<double, 8> a, simd<double, 8> b,
+                                    simd<double, 8> c) {
+  return simd<double, 8>(_mm512_add_pd(
+      _mm512_mul_round_pd(a.v, b.v, _MM_FROUND_CUR_DIRECTION), c.v));
+}
+
 inline simd<double, 8> max(simd<double, 8> a, simd<double, 8> b) {
   // (a < b) ? b : a — std::max semantics.
   const __mmask8 lt = _mm512_cmp_pd_mask(a.v, b.v, _CMP_LT_OQ);

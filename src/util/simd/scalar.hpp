@@ -49,6 +49,30 @@ struct simd<double, 1> {
   friend simd operator/(simd a, simd b) { return simd(a.v / b.v); }
 };
 
+/// a * b + c, fused (one rounding) where the target has FMA and with the
+/// product rounded first elsewhere: what GCC makes of the expression in
+/// this build's scalar code (it contracts it on the avx512 build), and what
+/// the wide backends' mul_add does.
+inline simd<double, 1> mul_add(simd<double, 1> a, simd<double, 1> b,
+                               simd<double, 1> c) {
+#ifdef __FP_FAST_FMA
+  return simd<double, 1>(std::fma(a.v, b.v, c.v));
+#else
+  return simd<double, 1>(a.v * b.v + c.v);
+#endif
+}
+
+/// a * b rounded, then + c: never fused, on any build. Where the target has
+/// FMA, the barrier keeps GCC from contracting the pair.
+inline simd<double, 1> mul_then_add(simd<double, 1> a, simd<double, 1> b,
+                                    simd<double, 1> c) {
+#ifdef __FP_FAST_FMA
+  return simd<double, 1>(__builtin_assoc_barrier(a.v * b.v) + c.v);
+#else
+  return simd<double, 1>(a.v * b.v + c.v);
+#endif
+}
+
 /// std::max semantics: (a < b) ? b : a.
 inline simd<double, 1> max(simd<double, 1> a, simd<double, 1> b) {
   return simd<double, 1>((a.v < b.v) ? b.v : a.v);

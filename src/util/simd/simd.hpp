@@ -5,8 +5,9 @@
 // DIMMER_SIMD_AVX512 compile definitions plus the matching -m flags. This
 // header always provides:
 //
-//   simd<double, N>      the value type (scalar.hpp is always included; the
-//                        wider specialisations only when their backend is on)
+//   simd<double, N>      the value type (scalar.hpp and the two-lane
+//                        pair.hpp are always included; the wider
+//                        specialisations only when their backend is on)
 //   native_width         the widest lane count the build supports (1/4/8)
 //   vdouble              simd<double, native_width> — what hot paths use
 //   backend_name()       runtime introspection ("scalar"/"avx2"/"avx512"),
@@ -18,6 +19,7 @@
 // (DESIGN.md §12).
 #pragma once
 
+#include "util/simd/pair.hpp"
 #include "util/simd/scalar.hpp"
 
 #if defined(DIMMER_SIMD_AVX512)

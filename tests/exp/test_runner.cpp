@@ -7,6 +7,7 @@
 #include "exp/json.hpp"
 #include "exp/runner.hpp"
 #include "util/check.hpp"
+#include "util/parse.hpp"
 
 namespace dimmer::exp {
 namespace {
@@ -116,11 +117,11 @@ TEST(Runner, CapturesTrialExceptions) {
 
 TEST(Runner, JobsFromEnvParsesOverride) {
   ASSERT_EQ(setenv("DIMMER_JOBS", "3", 1), 0);
-  EXPECT_EQ(jobs_from_env(), 3);
+  EXPECT_EQ(util::jobs_from_env(), 3);
   ASSERT_EQ(setenv("DIMMER_JOBS", "64", 1), 0);
-  EXPECT_EQ(jobs_from_env(), 64);
+  EXPECT_EQ(util::jobs_from_env(), 64);
   ASSERT_EQ(unsetenv("DIMMER_JOBS"), 0);
-  EXPECT_GE(jobs_from_env(), 1);  // hardware_concurrency fallback
+  EXPECT_GE(util::jobs_from_env(), 1);  // hardware_concurrency fallback
 }
 
 TEST(Runner, JobsFromEnvRejectsMalformedValues) {
@@ -134,7 +135,7 @@ TEST(Runner, JobsFromEnvRejectsMalformedValues) {
                        "+3",  "0.25x"};
   for (const char* v : bad) {
     ASSERT_EQ(setenv("DIMMER_JOBS", v, 1), 0);
-    EXPECT_THROW((void)jobs_from_env(), util::RequireError)
+    EXPECT_THROW((void)util::jobs_from_env(), util::RequireError)
         << "DIMMER_JOBS=\"" << v << "\" must be rejected";
   }
   ASSERT_EQ(unsetenv("DIMMER_JOBS"), 0);

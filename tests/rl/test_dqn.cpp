@@ -54,14 +54,18 @@ TEST(ReplayBuffer, StorageGrowsWithContentUpToCapacity) {
 TEST(ReplayBuffer, SampleFromEmptyThrows) {
   ReplayBuffer buf(4);
   util::Pcg32 rng(1);
-  EXPECT_THROW(buf.sample_indices(2, rng), util::RequireError);
+  std::vector<std::size_t> idx;
+  EXPECT_THROW(buf.sample_indices(2, rng, idx), util::RequireError);
 }
 
 TEST(ReplayBuffer, SampleIndicesInRange) {
   ReplayBuffer buf(10);
   for (int i = 0; i < 4; ++i) buf.push(Transition{});
   util::Pcg32 rng(2);
-  for (std::size_t i : buf.sample_indices(100, rng)) EXPECT_LT(i, 4u);
+  std::vector<std::size_t> idx;
+  buf.sample_indices(100, rng, idx);
+  ASSERT_EQ(idx.size(), 100u);
+  for (std::size_t i : idx) EXPECT_LT(i, 4u);
 }
 
 TEST(DqnAgent, EpsilonAnnealsLinearly) {

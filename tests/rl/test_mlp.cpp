@@ -47,18 +47,60 @@ TEST(Mlp, ReluIsAppliedToHiddenLayer) {
   EXPECT_DOUBLE_EQ(net.forward({-2.0})[0], 0.0);  // clipped by ReLU
 }
 
+TEST(Mlp, ForwardBatchMatchesForwardBitForBit) {
+  // Every batch size, including ones that leave padding lanes: a sample's
+  // outputs must not depend on its lane or on its neighbours.
+  Mlp net({31, 30, 3}, 4);
+  util::Pcg32 rng(5);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{32},
+                        std::size_t{33}}) {
+    std::vector<std::vector<double>> xs(n, std::vector<double>(31));
+    MlpBatch io(net, n);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (double& v : xs[s]) v = rng.uniform(-2.0, 2.0);
+      io.set_input(s, xs[s]);
+    }
+    net.forward_batch(io);
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::vector<double> y = net.forward(xs[s]);
+      for (int f = 0; f < 3; ++f)
+        EXPECT_EQ(io.output(f)[s], y[static_cast<std::size_t>(f)])
+            << "batch " << n << " sample " << s << " output " << f;
+    }
+  }
+}
+
+TEST(Mlp, BatchRejectsMismatchedShapes) {
+  Mlp net({4, 3, 2}, 1), other({4, 5, 2}, 1);
+  MlpBatch io(net, 2);
+  EXPECT_THROW(io.set_input(0, {1.0, 2.0}), util::RequireError);
+  EXPECT_THROW(io.set_input(2, {1.0, 2.0, 3.0, 4.0}), util::RequireError);
+  EXPECT_THROW(other.forward_batch(io), util::RequireError);
+  EXPECT_THROW(MlpBatch(net, 0), util::RequireError);
+}
+
 TEST(Mlp, BackwardMatchesNumericalGradient) {
   Mlp net({3, 4, 2}, 3);
-  std::vector<double> x = {0.5, -0.3, 0.8};
-  // Loss = sum of outputs (dLoss/dOut = ones).
+  const std::vector<std::vector<double>> xs = {
+      {0.5, -0.3, 0.8}, {-0.1, 0.9, 0.2}, {0.7, 0.4, -0.6}};
+  // Loss = sum over the batch of both outputs (dLoss/dOut = ones).
   auto loss = [&](const Mlp& m) {
-    auto y = m.forward(x);
-    return y[0] + y[1];
+    double sum = 0.0;
+    for (const auto& x : xs) {
+      auto y = m.forward(x);
+      sum += y[0] + y[1];
+    }
+    return sum;
   };
-  ForwardCache cache;
-  net.forward_cached(x, cache);
+  MlpBatch io(net, xs.size());
+  for (std::size_t s = 0; s < xs.size(); ++s) {
+    io.set_input(s, xs[s]);
+    io.output_grad(0)[s] = 1.0;
+    io.output_grad(1)[s] = 1.0;
+  }
+  net.forward_batch(io);
   auto grads = net.make_grads();
-  net.backward(cache, {1.0, 1.0}, grads);
+  net.backward_batch(io, grads);
 
   const double eps = 1e-6;
   Mlp probe = net;
@@ -82,6 +124,14 @@ TEST(Mlp, BackwardMatchesNumericalGradient) {
       EXPECT_NEAR(grads[li].db[bi], (up - dn) / (2 * eps), 1e-5);
     }
   }
+
+  // backward_batch overwrites: a second call leaves the same gradient.
+  auto again = grads;
+  net.backward_batch(io, again);
+  for (std::size_t li = 0; li < grads.size(); ++li) {
+    EXPECT_EQ(again[li].dw, grads[li].dw);
+    EXPECT_EQ(again[li].db, grads[li].db);
+  }
 }
 
 TEST(Mlp, AdamFitsSimpleRegression) {
@@ -90,20 +140,19 @@ TEST(Mlp, AdamFitsSimpleRegression) {
   Adam adam(net, Adam::Config{0.01, 0.9, 0.999, 1e-8});
   util::Pcg32 rng(6);
   auto grads = net.make_grads();
-  ForwardCache cache;
+  MlpBatch io(net, 8);
+  std::vector<double> targets(8);
   for (int step = 0; step < 2000; ++step) {
-    Mlp::zero_grads(grads);
-    double se = 0.0;
-    for (int b = 0; b < 8; ++b) {
+    for (std::size_t b = 0; b < 8; ++b) {
       double x = rng.uniform(-1.0, 1.0);
-      double target = 2.0 * x - 1.0;
-      auto y = net.forward_cached({x}, cache);
-      double err = y[0] - target;
-      se += err * err;
-      net.backward(cache, {2.0 * err}, grads);
+      targets[b] = 2.0 * x - 1.0;
+      io.set_input(b, {x});
     }
+    net.forward_batch(io);
+    for (std::size_t b = 0; b < 8; ++b)
+      io.output_grad(0)[b] = 2.0 * (io.output(0)[b] - targets[b]);
+    net.backward_batch(io, grads);
     adam.step(net, grads, 1.0 / 8.0);
-    (void)se;
   }
   double mse = 0.0;
   for (double x = -1.0; x <= 1.0; x += 0.1) {

@@ -93,6 +93,49 @@ TEST(SimdPrimitives, MaxMinFollowStdSemantics) {
   }
 }
 
+// a = 1 + 2^-30: a * a = 1 + 2^-29 + 2^-60, and rounding the product drops
+// the 2^-60, so a rounded and a fused a * a - 1 differ.
+template <typename V>
+void expect_mul_add_forms(double x, double rounded, double mul_add_expected) {
+  const V a = V::broadcast(x), c = V::broadcast(-1.0);
+  for (int i = 0; i < V::width; ++i) {
+    EXPECT_EQ(mul_then_add(a, a, c).lane(i), rounded) << "width " << V::width;
+    EXPECT_EQ(mul_add(a, a, c).lane(i), mul_add_expected)
+        << "width " << V::width;
+  }
+}
+
+TEST(SimdPrimitives, MulAddFusesOnlyWhereTheBuildHasFma) {
+#ifdef __FP_FAST_FMA
+  constexpr bool kFmaBuild = true;  // the avx512 build
+#else
+  constexpr bool kFmaBuild = false;
+#endif
+  volatile double va = 1.0 + 0x1p-30;
+  const double a = va;
+  volatile double product = a * a;  // stored: rounded on every build
+  const double rounded = product - 1.0;
+  const double fused = std::fma(a, a, -1.0);
+  ASSERT_NE(rounded, fused);
+  const double expected = kFmaBuild ? fused : rounded;
+  // `a` is read at run time, so no operation is folded at compile time.
+  expect_mul_add_forms<s1>(a, rounded, expected);
+  expect_mul_add_forms<simd<double, 2>>(a, rounded, expected);
+  expect_mul_add_forms<vdouble>(a, rounded, expected);
+}
+
+TEST(SimdPrimitives, PairIsLanewiseWithStdMaxSemantics) {
+  using s2 = simd<double, 2>;
+  const double a[2] = {-0.0, 3.0}, b[2] = {0.0, -1.5};
+  double out[2];
+  max(s2::load(a), s2::load(b)).store(out);
+  EXPECT_TRUE(std::signbit(out[0]));  // (a < b) ? b : a keeps -0.0
+  EXPECT_EQ(out[1], 3.0);
+  (s2::load(a) * s2::load(b) + s2::broadcast(1.0)).store(out);
+  EXPECT_EQ(out[1], 3.0 * -1.5 + 1.0);
+  EXPECT_EQ(s2::load(a).lane(1), 3.0);
+}
+
 TEST(SimdPrimitives, RoundNearestTiesToEven) {
   const double in[] = {0.5, 1.5, 2.5, -0.5, -1.5, 3.2, -3.8, 4.0};
   for (double x : in) {
