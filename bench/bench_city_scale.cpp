@@ -2,8 +2,8 @@
 //
 // The paper's central-coordinator design tops out at one LWB cell; this
 // harness exercises the multi-cell federation on a 1024-node campus
-// topology partitioned into 8 cells backed by the culled CSR topology and
-// SparseLinkModel. Two scenarios per protocol:
+// topology partitioned into 8 cells; the topology is culled at construction,
+// so every cell floods over CSR rows. Two scenarios per protocol:
 //
 //  - "steady": periodic flows from every cell bridge hop-by-hop across
 //    gateways to the global sink; no faults.
@@ -113,7 +113,6 @@ int main() {
     core::FederationConfig fc;
     fc.n_cells = kCells;
     fc.sink = 0;
-    fc.sparse_links = true;
     fc.workers = workers;
     const std::string protocol = spec.tags.at("protocol");
     core::Federation fed(

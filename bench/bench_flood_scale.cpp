@@ -1,20 +1,20 @@
 // Flood scaling benchmark: culled vs unculled link rows on 1000+-node
 // campus topologies.
 //
-// For each size the harness times cycling-initiator floods through (a)
-// GlossyFlood over SparseLinkModel with the default 20 dB culling margin
-// (CSR scatter + zero-power listener skip) and (b) the "dense" leg:
-// GlossyFlood over the default CachedLinkModel on make_campus_topology(n),
+// For each size the harness times cycling-initiator floods through (a) the
+// sparse leg: GlossyFlood over a SparseLinkModel of a construction-culled
+// Topology (make_campus_topology_culled at a 20 dB margin below the noise
+// floor; CSR scatter + zero-power listener skip), so neither the topology
+// nor the link model ever holds N^2 entries, and (b) the "dense" leg:
+// GlossyFlood over its own SparseLinkModel of make_campus_topology(n),
 // i.e. unculled CSR rows holding all N^2 links, which the engine sweeps as
-// a row-major matrix, every listener every step. The sparse leg runs on a
-// construction-culled Topology (make_campus_topology_culled with the
-// matching gain floor), so neither the topology nor the link model ever
-// holds N^2 entries. It reports the sparse leg's construction time (topology
-// build and link build), ns/step, floods/sec and delivery ratio for both
-// legs, plus the storage story at both layers: link-model nnz/CSR bytes and
-// topology gain nnz/bytes against a dense 8*N^2 matrix. The dense leg is
-// skipped above kDenseMaxNodes — holding (and sweeping) every link at 4096
-// nodes is exactly the cost culling exists to avoid.
+// a row-major matrix, every listener every step. It reports the sparse
+// leg's construction time (topology build and link build), ns/step,
+// floods/sec and delivery ratio for both legs, plus the storage story at
+// both layers: link-model nnz/CSR bytes and topology gain nnz/bytes against
+// a dense 8*N^2 matrix. The dense leg is skipped above kDenseMaxNodes —
+// holding (and sweeping) every link at 4096 nodes is exactly the cost
+// culling exists to avoid.
 //
 // Timing fields here are measurements, not simulation outputs: this file is
 // exempt from the byte-identity rule that covers the figure benches.
@@ -110,9 +110,9 @@ int main() {
   std::string rows;
   bool ok = true;
   for (int n : sizes) {
-    // Construction-culled topology with the floor matching the link model's
-    // default 20 dB margin at 0 dBm TX: surviving gains are bit-identical to
-    // make_campus_topology(n), and no N^2 gain set is ever built.
+    // Construction-culled topology, 20 dB below the noise floor at 0 dBm
+    // TX: surviving gains are bit-identical to make_campus_topology(n), and
+    // no N^2 gain set is ever built.
     const double gain_floor =
         phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0);
     const util::Stopwatch topo_clock;
@@ -121,7 +121,7 @@ int main() {
     const double topo_build_s = topo_clock.seconds();
     phy::InterferenceField field;  // clean band: pure engine scaling
 
-    phy::SparseLinkModel sparse_links(topo);  // default 20 dB margin
+    phy::SparseLinkModel sparse_links(topo);
     const util::Stopwatch link_clock;
     (void)sparse_links.prepare_sparse(params_for(0).tx_power_dbm);
     const double link_build_s = link_clock.seconds();

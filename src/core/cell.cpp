@@ -24,17 +24,9 @@ Cell::Cell(const phy::Topology& global_topo,
   for (phy::NodeId& b : local.failover.backups) b = to_local(b);
   for (phy::NodeId& f : local.feedback_nodes) f = to_local(f);
 
-  const phy::NodeId coord = to_local(cfg_.coordinator);
-  if (cfg_.sparse_links) {
-    links_ = std::make_unique<phy::SparseLinkModel>(topo_);
-    net_ = std::make_unique<DimmerNetwork>(*links_, interference,
-                                           std::move(local),
-                                           std::move(controller), coord, seed);
-  } else {
-    net_ = std::make_unique<DimmerNetwork>(topo_, interference,
-                                           std::move(local),
-                                           std::move(controller), coord, seed);
-  }
+  net_ = std::make_unique<DimmerNetwork>(topo_, interference, std::move(local),
+                                         std::move(controller),
+                                         to_local(cfg_.coordinator), seed);
 }
 
 bool Cell::is_member(phy::NodeId global) const {

@@ -7,9 +7,11 @@
 //  - Node-id remapping: the cell simulates over a Topology::restricted()
 //    sub-topology whose local ids 0..m-1 map to the federation's global
 //    topology ids. Every gain a member pair shares is copied bit-for-bit
-//    from the global topology, so a cell covering *all* nodes is provably
-//    byte-identical to a bare DimmerNetwork over the global topology
-//    (tests/core/test_cell.cpp asserts FloodResult and RNG end-state).
+//    from the global topology, culled links included, and the cell's
+//    DimmerNetwork owns the link model over those rows. So a cell covering
+//    *all* nodes is provably byte-identical to a bare DimmerNetwork over
+//    the global topology (tests/core/test_cell.cpp asserts FloodResult and
+//    RNG end-state).
 //  - A per-cell RNG stream: each cell draws from its own seed (the
 //    federation derives seeds via util::hash_u64(federation_seed, cell_id)),
 //    so cells stay in RNG lockstep regardless of how many of them run or in
@@ -31,7 +33,6 @@
 
 #include "core/protocol.hpp"
 #include "lwb/scheduler.hpp"
-#include "phy/link_model.hpp"
 
 namespace dimmer::core {
 
@@ -47,10 +48,6 @@ struct CellConfig {
   /// the cell coordinator). fault_plan node ids are cell-LOCAL: fault plans
   /// are authored against one cell's own timeline.
   ProtocolConfig protocol;
-  /// Back the flood engine with a culling SparseLinkModel over the cell
-  /// topology (city scale) instead of the network's own CachedLinkModel,
-  /// which keeps every link the cell topology stores.
-  bool sparse_links = false;
   /// This cell's round-start offset inside the federation round period.
   /// Neighboring cells get opposite parity offsets so a shared gateway is
   /// never in two overlapping rounds (federation.hpp).
@@ -99,7 +96,6 @@ class Cell {
  private:
   CellConfig cfg_;
   phy::Topology topo_;  // restricted to cfg_.members (owned; net_ borrows)
-  std::unique_ptr<phy::SparseLinkModel> links_;  // only when sparse_links
   std::unique_ptr<DimmerNetwork> net_;
   lwb::Scheduler sched_;
   std::vector<phy::NodeId> global_to_local_;  // -1 = not a member

@@ -119,7 +119,6 @@ Federation::Federation(const phy::Topology& topo,
     CellConfig cc;
     cc.cell_id = c;
     cc.members = members[static_cast<std::size_t>(c)];
-    cc.sparse_links = cfg_.sparse_links;
     cc.schedule_offset =
         (depth_[static_cast<std::size_t>(c)] % 2) * (cfg_.protocol.round_period / 2);
     cc.protocol = cfg_.protocol;

@@ -61,7 +61,8 @@ struct FederationConfig {
   /// Global sink node; its stripe becomes the root cell. Also the delivery
   /// target of every flow.
   phy::NodeId sink = 0;
-  /// Cells back their flood engines with SparseLinkModel (city scale).
+  /// Read by nothing in src/: a cell's links are the ones the global
+  /// topology stores. Kept only because perfbench assigns it.
   bool sparse_links = true;
   /// Per-cell backup coordinators auto-assigned (the next N lowest own-node
   /// ids after the coordinator; the cell's own gateway is never picked for

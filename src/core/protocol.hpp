@@ -111,8 +111,8 @@ class DimmerNetwork {
                 phy::NodeId coordinator, std::uint64_t seed);
 
   /// Same network over an external LinkModel backend (non-owning; must
-  /// outlive the network). A federation cell at city scale binds a
-  /// SparseLinkModel over its restricted sub-topology this way.
+  /// outlive the network), e.g. a decorator that times or counts the link
+  /// seam.
   DimmerNetwork(phy::LinkModel& links,
                 const phy::InterferenceField& interference, ProtocolConfig cfg,
                 std::unique_ptr<AdaptivityController> controller,

@@ -49,7 +49,7 @@ FloodResult FloodResult::silent(int n_nodes, phy::NodeId initiator) {
 
 GlossyFlood::GlossyFlood(const phy::Topology& topo,
                          const phy::InterferenceField& interf)
-    : owned_links_(std::make_unique<phy::CachedLinkModel>(topo)),
+    : owned_links_(std::make_unique<phy::SparseLinkModel>(topo)),
       links_(owned_links_.get()),
       interf_(&interf) {}
 

@@ -133,8 +133,7 @@ struct [[nodiscard]] FloodResult {
 /// independent engines.
 class GlossyFlood {
  public:
-  /// Convenience: binds an internally-owned CachedLinkModel (no culling)
-  /// over `topo`.
+  /// Convenience: binds an internally-owned SparseLinkModel over `topo`.
   GlossyFlood(const phy::Topology& topo, const phy::InterferenceField& interf);
 
   /// Binds an external LinkModel backend (non-owning; must outlive the
@@ -176,7 +175,7 @@ class GlossyFlood {
               double exposure_sum, std::uint64_t interf_samples,
               std::uint64_t source_evals) const;
 
-  std::unique_ptr<phy::CachedLinkModel> owned_links_;  // only for the
+  std::unique_ptr<phy::SparseLinkModel> owned_links_;  // only for the
                                                        // Topology convenience
                                                        // constructor
   phy::LinkModel* links_;

@@ -111,8 +111,8 @@ class RoundExecutor {
                 const phy::InterferenceField& interference, RoundConfig cfg);
 
   /// Binds an external LinkModel backend instead of the internally-owned
-  /// dense cache (non-owning; must outlive the executor). This is how a
-  /// federation cell runs its rounds over a SparseLinkModel at city scale.
+  /// SparseLinkModel (non-owning; must outlive the executor), e.g. a
+  /// decorator that times or counts the link seam.
   RoundExecutor(phy::LinkModel& links,
                 const phy::InterferenceField& interference, RoundConfig cfg);
 

@@ -12,16 +12,14 @@
 //
 // — so flood results stay bit-identical to evaluating the Topology inline.
 //
-// SparseLinkModel is the one builder: it walks the Topology's stored gain
-// rows and keeps the links at or above its culling floor (DESIGN.md §13).
-// CachedLinkModel is the same builder with culling disabled, so its rows are
-// full. The seam also decouples the flood engine from the Topology class
-// itself: alternate backends (trace-driven gains, time-varying channels)
-// only need to fill a LinkCsr.
+// SparseLinkModel is the one builder: it converts every gain the Topology
+// stores, so the Topology's gain floor alone decides which links exist
+// (DESIGN.md §13). The seam also decouples the flood engine from the
+// Topology class itself: alternate backends (trace-driven gains,
+// time-varying channels) only need to fill a LinkCsr.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "phy/topology.hpp"
 
@@ -75,61 +73,34 @@ class LinkModel {
 };
 
 /// The link-model builder: CSR rows of mW powers, one per transmitter,
-/// cached for the last-prepared TX power. A link survives iff its rx power
-/// is at or above noise_floor_dbm - cull_margin_db; links the Topology
-/// already culled are never considered.
+/// cached for the last-prepared TX power. It stores exactly the links the
+/// Topology stores; the Topology's gain floor is the one culling decision
+/// (DESIGN.md §13).
 ///
-/// Determinism contract (DESIGN.md §13):
-///  - Every stored link holds the exact double of the historical per-link
-///    expression: the same rx_power_dbm sum fed through the dbm_to_mw_batch
-///    kernel, which is lanewise pure, so compacting survivors before the
-///    batch conversion cannot change their bits.
-///  - With culling disabled (Config::no_culling) over a topology that keeps
-///    every link, rows are full and the flood engine takes its contiguous
-///    row sweep (CachedLinkModel).
-///  - With culling enabled, the total culled power any listener could ever
-///    lose is bounded by cull_floor_mw * fan-in (each culled link is below
-///    the floor; tests/phy/test_sparse_link_model.cpp proves the bound), so
-///    a floor chosen via Config::bounded_influence keeps the aggregate error
-///    strictly below the noise floor's own contribution to SINR.
+/// Determinism contract: every stored link holds the exact double of the
+/// historical per-link expression dbm_to_mw(tx_power + gain), computed
+/// through the dbm_to_mw_batch kernel, which is lanewise pure (DESIGN.md
+/// §12). Over a topology that keeps every link the rows are full, `val` is
+/// the row-major n*n matrix, and the flood engine takes its contiguous row
+/// sweep; over a culled topology it scatters the rows.
 class SparseLinkModel : public LinkModel {
  public:
-  struct Config {
-    /// Links whose rx power falls below noise_floor_dbm - cull_margin_db are
-    /// dropped. Must be positive; +infinity keeps every link.
-    double cull_margin_db = 20.0;
-
-    /// Culling disabled: every link the Topology stores survives. Over a
-    /// topology that keeps every link this stores N^2 entries, so only use
-    /// it at small N.
-    static Config no_culling();
-
-    /// A margin guaranteeing that the *summed* culled power at any listener
-    /// stays at least `headroom_db` below the noise floor even if all n-1
-    /// other nodes transmit at once: cull_floor_mw * (n-1) <=
-    /// noise_mw / 10^(headroom_db/10). Grows as 10*log10(n-1), so the bound
-    /// holds at any scale.
-    static Config bounded_influence(int n, double headroom_db = 10.0);
-  };
-
-  /// Default config: the 20 dB culling margin.
-  explicit SparseLinkModel(const Topology& topo);
-  SparseLinkModel(const Topology& topo, Config cfg);
+  explicit SparseLinkModel(const Topology& topo) : topo_(&topo) {}
   // prepare_sparse hands out a pointer to this object's own table.
   SparseLinkModel(const SparseLinkModel&) = delete;
   SparseLinkModel& operator=(const SparseLinkModel&) = delete;
 
   const Topology& topology() const override { return *topo_; }
 
+  /// Recomputes only when the TX power changes (floods within a protocol
+  /// run virtually always share one TX power, so steady state is one build
+  /// per topology).
   const SparseLinkView* prepare_sparse(double tx_power_dbm) override;
 
   /// Number of full CSR recomputations so far (test/bench introspection).
   int rebuilds() const { return rebuilds_; }
 
-  /// Culling floor in dBm (noise floor minus the configured margin).
-  double cull_floor_dbm() const;
-
-  /// Survived-link count of the last prepared view (0 before any prepare).
+  /// Stored-link count of the last prepared view (0 before any prepare).
   std::size_t nnz() const { return links_.nnz(); }
 
   /// Bytes held by the CSR arrays (row_ptr + col + val) — the number the
@@ -140,23 +111,13 @@ class SparseLinkModel : public LinkModel {
   void rebuild(double tx_power_dbm);
 
   const Topology* topo_;
-  Config cfg_;
-  LinkCsr links_;                 // received powers in mW
-  std::vector<double> keep_dbm_;  // rebuild scratch: one row's survivors
+  LinkCsr links_;  // received powers in mW
   double cached_power_dbm_ = 0.0;
   bool valid_ = false;
   int rebuilds_ = 0;
 };
 
-/// The standard backend: SparseLinkModel with culling disabled. Over a
-/// topology that keeps every link, its rows are full, so the flood engine
-/// sweeps them as a row-major matrix. Recomputes only when the TX power
-/// changes (floods within a protocol run virtually always share one TX
-/// power, so steady state is one build per topology).
-class CachedLinkModel final : public SparseLinkModel {
- public:
-  explicit CachedLinkModel(const Topology& topo)
-      : SparseLinkModel(topo, Config::no_culling()) {}
-};
+/// The name perfbench binds its unculled office18 model by.
+using CachedLinkModel = SparseLinkModel;
 
 }  // namespace dimmer::phy

@@ -344,9 +344,8 @@ Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                   shadow_seed, gain_floor_db);
 }
 
-double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db,
-                          double max_tx_power_dbm) {
-  return radio.noise_floor_dbm - cull_margin_db - max_tx_power_dbm;
+double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db) {
+  return radio.noise_floor_dbm - cull_margin_db;
 }
 
 }  // namespace dimmer::phy

@@ -207,13 +207,11 @@ Topology make_campus_topology(int n, std::uint64_t shadow_seed = 1);
 Topology make_campus_topology_culled(int n, std::uint64_t shadow_seed,
                                      double gain_floor_db);
 
-/// A gain floor consistent with SparseLinkModel's rx-power culling: a link
-/// culled at construction (gain < floor) would also have been culled by a
-/// SparseLinkModel with `cull_margin_db` at any TX power <= max_tx_power_dbm,
-/// because rx_power = tx_power + gain < noise_floor - margin. Topology-level
-/// culling with this floor therefore never removes a link the link model
-/// would have kept.
-double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db,
-                          double max_tx_power_dbm = 0.0);
+/// The gain floor that drops every link whose received power, at the 0 dBm
+/// the paper transmits at, sits more than `cull_margin_db` below the noise
+/// floor: noise_floor_dbm - cull_margin_db. Passing it to a culling factory
+/// is the one culling decision (DESIGN.md §13); the link model converts
+/// every link the topology keeps.
+double gain_cull_floor_db(const RadioConstants& radio, double cull_margin_db);
 
 }  // namespace dimmer::phy

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
-#include <string>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -159,49 +157,6 @@ void DqnAgent::train_step(util::Pcg32& rng) {
                  0.01 * (loss_acc / static_cast<double>(cfg_.batch_size));
   if (train_steps_ % cfg_.target_sync_period == 0)
     target_.copy_parameters_from(online_);
-}
-
-void DqnAgent::save_checkpoint(std::ostream& os) const {
-  os << "dimmer-dqn-ckpt 1\n" << env_steps_ << ' ' << train_steps_ << ' ';
-  os.precision(17);
-  os << recent_loss_ << '\n';
-  online_.save(os);
-  target_.save(os);
-}
-
-void DqnAgent::restore_checkpoint(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  DIMMER_REQUIRE(!is.fail() && magic == "dimmer-dqn-ckpt" && version == 1,
-                 "not a dimmer-dqn-ckpt v1 stream");
-  std::size_t env_steps = 0, train_steps = 0;
-  double loss = 0.0;
-  is >> env_steps >> train_steps >> loss;
-  DIMMER_REQUIRE(!is.fail() && std::isfinite(loss),
-                 "corrupt dqn checkpoint: bad step counters");
-
-  // Parse into temporaries first so a corrupt stream leaves *this untouched.
-  Mlp online = Mlp::load(is);
-  Mlp target = Mlp::load(is);
-  auto check_arch = [&](const Mlp& net) {
-    DIMMER_REQUIRE(net.layers().size() + 1 == cfg_.architecture.size(),
-                   "dqn checkpoint architecture mismatch");
-    for (std::size_t l = 0; l < net.layers().size(); ++l)
-      DIMMER_REQUIRE(net.layers()[l].in == cfg_.architecture[l] &&
-                         net.layers()[l].out == cfg_.architecture[l + 1],
-                     "dqn checkpoint architecture mismatch");
-  };
-  check_arch(online);
-  check_arch(target);
-
-  online_ = std::move(online);
-  target_ = std::move(target);
-  env_steps_ = env_steps;
-  train_steps_ = train_steps;
-  recent_loss_ = loss;
-  // Adam moments are not checkpointed; the optimiser restarts cold.
-  adam_ = Adam(online_, Adam::Config{cfg_.lr, 0.9, 0.999, 1e-8});
 }
 
 }  // namespace dimmer::rl

@@ -67,18 +67,6 @@ class DqnAgent {
   /// Mean TD loss over recent training steps (diagnostics).
   double recent_loss() const { return recent_loss_; }
 
-  /// Serialises the state a warm coordinator failover transfers: both
-  /// network parameter sets plus the step counters (they drive epsilon
-  /// annealing, lr decay and target syncs). The replay buffer and Adam
-  /// moments are deliberately excluded — megabytes no backup would
-  /// replicate over the air; a restored agent refills its buffer before
-  /// training resumes.
-  void save_checkpoint(std::ostream& os) const;
-  /// Restores a checkpoint written by save_checkpoint. Throws
-  /// util::RequireError on a corrupt/truncated stream or an architecture
-  /// mismatch; the agent is left untouched on failure.
-  void restore_checkpoint(std::istream& is);
-
   /// Optional observability hooks (a "dqn_step" event per observe()).
   /// Sinks never draw from the RNG, so learning is identical with or
   /// without instrumentation.

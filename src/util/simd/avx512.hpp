@@ -19,6 +19,12 @@
 
 namespace dimmer::util::simd {
 
+/// Every lane of a simd<double, 8>. The intrinsics whose unmasked forms
+/// GCC 12 expands with an _mm512_undefined_*() source (and so warns about
+/// under -Werror) are spelled as their zero-masked forms under this mask:
+/// the same eight lanes.
+inline constexpr __mmask8 kAllLanes = 0xFF;
+
 template <>
 struct simd<double, 8> {
   static constexpr int width = 8;
@@ -66,7 +72,8 @@ inline simd<double, 8> mul_add(simd<double, 8> a, simd<double, 8> b,
 inline simd<double, 8> mul_then_add(simd<double, 8> a, simd<double, 8> b,
                                     simd<double, 8> c) {
   return simd<double, 8>(_mm512_add_pd(
-      _mm512_mul_round_pd(a.v, b.v, _MM_FROUND_CUR_DIRECTION), c.v));
+      _mm512_maskz_mul_round_pd(kAllLanes, a.v, b.v, _MM_FROUND_CUR_DIRECTION),
+      c.v));
 }
 
 inline simd<double, 8> max(simd<double, 8> a, simd<double, 8> b) {
@@ -81,8 +88,8 @@ inline simd<double, 8> min(simd<double, 8> a, simd<double, 8> b) {
 }
 
 inline simd<double, 8> round_nearest(simd<double, 8> x) {
-  return simd<double, 8>(_mm512_roundscale_pd(
-      x.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  return simd<double, 8>(_mm512_maskz_roundscale_pd(
+      kAllLanes, x.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
 }
 
 inline simd<double, 8> select_lt(simd<double, 8> a, simd<double, 8> b,
@@ -101,12 +108,13 @@ inline simd<double, 8> exp2i(simd<double, 8> n) {
   // AVX-512DQ: exact packed double -> int64 conversion.
   const __m512i n64 = _mm512_cvtpd_epi64(n.v);
   const __m512i biased = _mm512_add_epi64(n64, _mm512_set1_epi64(1023));
-  return simd<double, 8>(_mm512_castsi512_pd(_mm512_slli_epi64(biased, 52)));
+  return simd<double, 8>(
+      _mm512_castsi512_pd(_mm512_maskz_slli_epi64(kAllLanes, biased, 52)));
 }
 
 inline simd<double, 8> exponent_part(simd<double, 8> x) {
   const __m512i bits = _mm512_castpd_si512(x.v);
-  const __m512i expo = _mm512_srli_epi64(bits, 52);
+  const __m512i expo = _mm512_maskz_srli_epi64(kAllLanes, bits, 52);
   const __m512d as_pd = _mm512_cvtepi64_pd(expo);
   return simd<double, 8>(_mm512_sub_pd(as_pd, _mm512_set1_pd(1022.0)));
 }

@@ -6,6 +6,7 @@
 #include "core/cell.hpp"
 #include "core/protocol.hpp"
 #include "obs/trace.hpp"
+#include "phy/link_model.hpp"
 #include "phy/topology.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -159,23 +160,25 @@ TEST(Cell, TracesCarryCellTag) {
   }
 }
 
-/// A sparse-links Cell covering all nodes must be bit-identical to a bare
-/// DimmerNetwork bound to a SparseLinkModel over the global topology: the
-/// identity restriction copies every gain bit-for-bit, so both CSR builds
-/// cull exactly the same links.
+/// A Cell covering all nodes of a culled topology must be bit-identical to
+/// a bare DimmerNetwork bound to a SparseLinkModel over the global
+/// topology: the identity restriction copies every stored gain bit-for-bit
+/// and drops nothing more, so both engines scatter the same CSR rows.
 TEST(Cell, SparseLinksFullMembershipBitIdenticalToBareSparseNetwork) {
-  phy::Topology topo = phy::make_campus_topology(48, 5);
+  phy::Topology topo = phy::make_campus_topology_culled(
+      48, 5, phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0));
   phy::InterferenceField field;
   const std::vector<phy::NodeId> sources = all_sources(48);
   const std::uint64_t seed = 9;
 
-  phy::SparseLinkModel links(topo);  // default 20 dB culling margin
+  phy::SparseLinkModel links(topo);
+  ASSERT_FALSE(links.prepare_sparse(0.0)->full_rows());
   DimmerNetwork bare(links, field, ProtocolConfig{},
                      std::make_unique<StaticController>(3), 0, seed);
 
-  CellConfig cc = full_cell_config(48);
-  cc.sparse_links = true;
-  Cell cell(topo, field, cc, std::make_unique<StaticController>(3), seed);
+  Cell cell(topo, field, full_cell_config(48),
+            std::make_unique<StaticController>(3), seed);
+  ASSERT_EQ(cell.topology().gains().col, topo.gains().col);
 
   for (int r = 0; r < 4; ++r) {
     const RoundStats a = bare.run_round(sources);

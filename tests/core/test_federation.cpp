@@ -22,7 +22,6 @@ FederationConfig small_cfg(int n_cells) {
   FederationConfig fc;
   fc.n_cells = n_cells;
   fc.sink = 0;
-  fc.sparse_links = false;  // campus48 is small; dense keeps the tests fast
   return fc;
 }
 
@@ -75,9 +74,7 @@ TEST(FederationPartition, GatewaysMatchBruteForceGainScan) {
       120, 3, phy::gain_cull_floor_db(probe.radio(), 10.0));
   ASSERT_FALSE(topo.gains().full_rows());
   phy::InterferenceField field;
-  FederationConfig fc = small_cfg(4);
-  fc.sparse_links = true;
-  Federation fed(topo, field, fc, static_factory(3), 7);
+  Federation fed(topo, field, small_cfg(4), static_factory(3), 7);
   for (int c = 0; c < fed.cell_count(); ++c) {
     if (c == fed.root()) continue;
     const int p = fed.parent(c);
@@ -334,16 +331,16 @@ TEST(FederationBalance, GreedyDeterministicAndCovering) {
   EXPECT_THROW(Federation::balance({1}, 0), util::RequireError);
 }
 
-/// Sparse-links federations (the city-scale configuration) are fully
-/// deterministic: two constructions from the same seed stay in lockstep
-/// epoch by epoch, RNG end-state included.
+/// Federations over a culled topology (the city-scale configuration) are
+/// fully deterministic: two constructions from the same seed stay in
+/// lockstep epoch by epoch, RNG end-state included.
 TEST(Federation, SparseLinksFederationIsDeterministic) {
-  phy::Topology topo = phy::make_campus_topology(48, 3);
+  phy::Topology topo = phy::make_campus_topology_culled(
+      48, 3, phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0));
+  ASSERT_FALSE(topo.gains().full_rows());
   phy::InterferenceField field;
-  FederationConfig fc = small_cfg(4);
-  fc.sparse_links = true;
-  Federation a(topo, field, fc, static_factory(3), 13);
-  Federation b(topo, field, fc, static_factory(3), 13);
+  Federation a(topo, field, small_cfg(4), static_factory(3), 13);
+  Federation b(topo, field, small_cfg(4), static_factory(3), 13);
   (void)a.add_flow(47, a.cell(0).network().config().round_period);
   (void)b.add_flow(47, b.cell(0).network().config().round_period);
 

@@ -51,7 +51,6 @@ TEST(FederationAlloc, RunEpochIsAllocationFreeAfterWarmup) {
   phy::InterferenceField field;
   FederationConfig fc;
   fc.n_cells = 4;
-  fc.sparse_links = true;
   fc.workers = 1;
   Federation fed(topo, field, fc,
                  [](int) { return std::make_unique<StaticController>(3); }, 3);

@@ -5,19 +5,17 @@
 // AND the RNG end-state — on every canonical topology, clean or jammed.
 //
 // The scatter side reaches the same links by appending one node far beyond
-// any link's reach and keeping it out of the flood: its links are culled,
-// so no view has full rows, while every link among the original nodes keeps
-// its bits. Both culling layers are exercised — a CachedLinkModel over a
-// topology that culled the far links at construction, and a SparseLinkModel
-// whose rx-power floor culls them.
+// any link's reach and keeping it out of the flood: the topology's gain
+// floor culls its links, so no view has full rows, while every link among
+// the original nodes keeps its bits.
 //
 // With real culling, results may legitimately differ in individual
 // receptions, but the aggregate delivery ratio stays within a tight band of
 // the unculled engine's (the culled power is provably below the noise
-// floor; tests/phy/test_sparse_link_model.cpp carries the bound).
+// floor; tests/phy/test_topology.cpp carries the bound).
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,42 +83,31 @@ Case make_case(const std::string& name, double jam_duty) {
 }
 
 /// Culls the far node's links (about -350 dB) and keeps every link among
-/// the original nodes (all above -160 dB), as a gain floor in dB and as an
-/// rx-power floor in dBm at the powers used here (<= 3 dBm).
+/// the original nodes (all above -160 dB).
 constexpr double kFarFloor = -250.0;
 
-/// `t` plus one node 1e8 m away, appended as the last id. The shadowing
-/// draw keys on the pair's ids, so links among the original nodes keep
-/// their bits.
-phy::Topology with_far_node(const phy::Topology& t, double gain_floor_db) {
+/// `t` rebuilt with a gain floor, optionally with one node 1e8 m away
+/// appended as the last id. The shadowing draw keys on the pair's ids, so
+/// every link among the original nodes that the floor keeps has `t`'s bits.
+phy::Topology rebuilt(const phy::Topology& t, double gain_floor_db,
+                      bool far_node) {
   std::vector<phy::Vec2> pos;
   for (phy::NodeId i = 0; i < t.size(); ++i) pos.push_back(t.position(i));
-  pos.push_back({1e8, 1e8});
+  if (far_node) pos.push_back({1e8, 1e8});
   return phy::Topology(std::move(pos), t.path_loss(), t.radio(),
                        t.shadow_seed(), gain_floor_db);
 }
 
-/// The two scatter backends over the far-node topology.
+/// The scatter backend: a SparseLinkModel over the far-node topology.
 struct FarNodeLinks {
   explicit FarNodeLinks(const phy::Topology& t)
-      : culled(with_far_node(t, kFarFloor)),
-        full(with_far_node(t, -std::numeric_limits<double>::infinity())),
-        cached(culled),
-        sparse(full, phy::SparseLinkModel::Config{
-                         t.radio().noise_floor_dbm - kFarFloor}) {
+      : topo(rebuilt(t, kFarFloor, true)), links(topo) {
     const auto n = static_cast<std::size_t>(t.size());
-    EXPECT_EQ(culled.gain_nnz(), n * n + 1);  // only the far links culled
-  }
-  std::vector<phy::LinkModel*> models() { return {&cached, &sparse}; }
-  static const char* name(int k) {
-    return k == 0 ? "topology-culled CachedLinkModel"
-                  : "rx-culled SparseLinkModel";
+    EXPECT_EQ(topo.gain_nnz(), n * n + 1);  // only the far links culled
   }
 
-  phy::Topology culled;  // far links culled at construction
-  phy::Topology full;    // every link stored
-  phy::CachedLinkModel cached;
-  phy::SparseLinkModel sparse;
+  phy::Topology topo;
+  phy::SparseLinkModel links;
 };
 
 /// Appends the far node's config: it sits the flood out.
@@ -130,8 +117,8 @@ std::vector<NodeFloodConfig> with_far_config(
   return configs;
 }
 
-/// Runs the sweep engine (CachedLinkModel over the case topology: full
-/// rows) and both scatter engines from identical RNG states and asserts
+/// Runs the sweep engine (a SparseLinkModel over the case topology: full
+/// rows) and the scatter engine from identical RNG states and asserts
 /// bit-identity.
 void run_scatter_vs_sweep(const std::string& topo_name, double jam_duty,
                           const std::vector<NodeFloodConfig>& configs,
@@ -140,25 +127,20 @@ void run_scatter_vs_sweep(const std::string& topo_name, double jam_duty,
   Case c = make_case(topo_name, jam_duty);
   ASSERT_EQ(static_cast<int>(configs.size()), c.topo.size());
 
-  phy::CachedLinkModel sweep_links(c.topo);
+  phy::SparseLinkModel sweep_links(c.topo);
   ASSERT_TRUE(sweep_links.prepare_sparse(params.tx_power_dbm)->full_rows());
   GlossyFlood sweep_engine(sweep_links, c.field);
   util::Pcg32 rng_sweep(seed);
   FloodResult want = sweep_engine.run(initiator, configs, params, rng_sweep);
 
   FarNodeLinks far(c.topo);
-  const std::vector<NodeFloodConfig> far_cfgs = with_far_config(configs);
-  std::vector<phy::LinkModel*> models = far.models();
-  for (std::size_t k = 0; k < models.size(); ++k) {
-    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
-    ASSERT_FALSE(models[k]->prepare_sparse(params.tx_power_dbm)->full_rows());
-    GlossyFlood scatter_engine(*models[k], c.field);
-    util::Pcg32 rng_scatter(seed);
-    FloodResult got =
-        scatter_engine.run(initiator, far_cfgs, params, rng_scatter);
-    expect_identical(want, got);
-    expect_same_rng_state(rng_sweep, rng_scatter);
-  }
+  ASSERT_FALSE(far.links.prepare_sparse(params.tx_power_dbm)->full_rows());
+  GlossyFlood scatter_engine(far.links, c.field);
+  util::Pcg32 rng_scatter(seed);
+  FloodResult got = scatter_engine.run(initiator, with_far_config(configs),
+                                       params, rng_scatter);
+  expect_identical(want, got);
+  expect_same_rng_state(rng_sweep, rng_scatter);
 }
 
 std::vector<NodeFloodConfig> uniform_configs(int n, int n_tx) {
@@ -216,23 +198,20 @@ TEST(SparseDifferential, AlternatingTxPowerRebindsCsr) {
   const auto far_cfgs = with_far_config(cfgs);
 
   FarNodeLinks far(c.topo);
-  std::vector<phy::LinkModel*> models = far.models();
-  for (std::size_t k = 0; k < models.size(); ++k) {
-    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
-    GlossyFlood sweep_engine(c.topo, c.field);
-    GlossyFlood scatter_engine(*models[k], c.field);
-    util::Pcg32 rng_sweep(55);
-    util::Pcg32 rng_scatter(55);
-    for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
-      SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
-      FloodParams p;
-      p.tx_power_dbm = power;
-      FloodResult want = sweep_engine.run(0, cfgs, p, rng_sweep);
-      FloodResult got = scatter_engine.run(0, far_cfgs, p, rng_scatter);
-      expect_identical(want, got);
-    }
-    expect_same_rng_state(rng_sweep, rng_scatter);
+  GlossyFlood sweep_engine(c.topo, c.field);
+  GlossyFlood scatter_engine(far.links, c.field);
+  util::Pcg32 rng_sweep(55);
+  util::Pcg32 rng_scatter(55);
+  for (double power : {0.0, -7.0, 0.0, 3.0, -7.0}) {
+    SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
+    FloodParams p;
+    p.tx_power_dbm = power;
+    FloodResult want = sweep_engine.run(0, cfgs, p, rng_sweep);
+    FloodResult got = scatter_engine.run(0, far_cfgs, p, rng_scatter);
+    expect_identical(want, got);
   }
+  EXPECT_EQ(far.links.rebuilds(), 5);  // one CSR rebind per power change
+  expect_same_rng_state(rng_sweep, rng_scatter);
 }
 
 TEST(SparseDifferential, RunIntoReusedBuffersMatchDense) {
@@ -246,27 +225,23 @@ TEST(SparseDifferential, RunIntoReusedBuffersMatchDense) {
   const auto far_cfgs = with_far_config(cfgs);
 
   FarNodeLinks far(c.topo);
-  std::vector<phy::LinkModel*> models = far.models();
-  for (std::size_t k = 0; k < models.size(); ++k) {
-    SCOPED_TRACE(FarNodeLinks::name(static_cast<int>(k)));
-    GlossyFlood sweep_engine(c.topo, c.field);
-    GlossyFlood scatter_engine(*models[k], c.field);
-    FloodWorkspace ws;
-    FloodResult reused;
-    util::Pcg32 rng_sweep(88);
-    util::Pcg32 rng_scatter(88);
-    for (int round = 0; round < 6; ++round) {
-      SCOPED_TRACE("round " + std::to_string(round));
-      FloodParams p;
-      p.slot_start_us = round * sim::ms(40);
-      phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
-      if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
-      FloodResult want = sweep_engine.run(init, cfgs, p, rng_sweep);
-      scatter_engine.run_into(init, far_cfgs, p, rng_scatter, ws, reused);
-      expect_identical(want, reused);
-    }
-    expect_same_rng_state(rng_sweep, rng_scatter);
+  GlossyFlood sweep_engine(c.topo, c.field);
+  GlossyFlood scatter_engine(far.links, c.field);
+  FloodWorkspace ws;
+  FloodResult reused;
+  util::Pcg32 rng_sweep(88);
+  util::Pcg32 rng_scatter(88);
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    FloodParams p;
+    p.slot_start_us = round * sim::ms(40);
+    phy::NodeId init = static_cast<phy::NodeId>((round * 3) % n);
+    if (!cfgs[static_cast<std::size_t>(init)].participates) init += 1;
+    FloodResult want = sweep_engine.run(init, cfgs, p, rng_sweep);
+    scatter_engine.run_into(init, far_cfgs, p, rng_scatter, ws, reused);
+    expect_identical(want, reused);
   }
+  expect_same_rng_state(rng_sweep, rng_scatter);
 }
 
 TEST(SparseDifferential, CullingPreservesDeliveryRatioOnDcube48) {
@@ -278,10 +253,15 @@ TEST(SparseDifferential, CullingPreservesDeliveryRatioOnDcube48) {
   const int n = c.topo.size();
   auto cfgs = uniform_configs(n, 2);
 
-  GlossyFlood dense_engine(c.topo, c.field);  // CachedLinkModel: no culling
-  phy::SparseLinkModel links(
-      c.topo, phy::SparseLinkModel::Config::bounded_influence(n));
-  GlossyFlood sparse_engine(links, c.field);
+  // The topology floor that bounds the summed culled power at any listener
+  // 10 dB under the noise floor (tests/phy/test_topology.cpp).
+  const double margin_db =
+      10.0 + 10.0 * std::log10(static_cast<double>(n - 1));
+  const phy::Topology culled = rebuilt(
+      c.topo, phy::gain_cull_floor_db(c.topo.radio(), margin_db), false);
+  ASSERT_LT(culled.gain_nnz(), c.topo.gain_nnz());
+  GlossyFlood dense_engine(c.topo, c.field);
+  GlossyFlood sparse_engine(culled, c.field);
 
   const int kFloods = 200;
   util::Pcg32 rng_dense(2026);

@@ -107,14 +107,18 @@ TEST(FloodWorkspaceAlloc, ManySourceFieldIsAllocationFreeAfterWarmup) {
 }
 
 TEST(FloodWorkspaceAlloc, SparseEngineRunIntoIsAllocationFreeAfterWarmup) {
-  // The sparse scatter path has its own steady state: the warm-up flood
-  // builds the CSR (and sizes the workspace); after that, repeated floods at
-  // the same TX power must not touch the heap — including the zero-power
-  // listener skip, which must not shrink or regrow any buffer.
-  phy::Topology topo = phy::make_campus_topology(96);
+  // The sparse scatter path has its own steady state: the CSR build and the
+  // warm-up flood size every buffer; after that, repeated floods at the same
+  // TX power must not touch the heap — including the zero-power listener
+  // skip, which must not shrink or regrow any buffer. The topology is
+  // culled, so the engine scatters: over full rows it would silently take
+  // the sweep instead.
+  phy::Topology topo = phy::make_campus_topology_culled(
+      96, 1, phy::gain_cull_floor_db(phy::RadioConstants{}, 20.0));
   phy::InterferenceField field;
   core::add_office_ambient(field, topo);
-  phy::SparseLinkModel links(topo);  // default 20 dB culling margin
+  phy::SparseLinkModel links(topo);
+  ASSERT_FALSE(links.prepare_sparse(FloodParams{}.tx_power_dbm)->full_rows());
   GlossyFlood engine(links, field);
   std::vector<NodeFloodConfig> cfgs(96, NodeFloodConfig{2, true});
   cfgs[7].n_tx = 0;

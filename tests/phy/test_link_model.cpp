@@ -17,7 +17,7 @@ namespace {
 
 TEST(CachedLinkModel, EntriesMatchTopologyPerBackendContract) {
   Topology topo = make_office18_topology();
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo);
   for (double power : {0.0, -7.0, 3.5}) {
     SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
     LinkMatrixView v = model.prepare(power);
@@ -47,7 +47,7 @@ TEST(CachedLinkModel, PrepareRejectsNonFiniteTxPower) {
   // on EVERY flood (and filled it with NaN mW). Non-finite powers now
   // REQUIRE-fail instead.
   Topology topo = make_line_topology(5, 10.0);
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo);
   EXPECT_THROW(model.prepare(std::numeric_limits<double>::quiet_NaN()),
                util::RequireError);
   EXPECT_THROW(model.prepare(std::numeric_limits<double>::infinity()),
@@ -62,7 +62,7 @@ TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
   // power must hit the cache every time after the first build.
   Topology topo = make_office18_topology();
   InterferenceField field;
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo);
   flood::GlossyFlood engine(model, field);
   std::vector<flood::NodeFloodConfig> cfgs(
       18, flood::NodeFloodConfig{2, true});
@@ -76,7 +76,7 @@ TEST(CachedLinkModel, RebuildsStayFlatAcrossSamePowerFloods) {
 
 TEST(CachedLinkModel, RebuildsOnlyOnPowerChange) {
   Topology topo = make_line_topology(5, 10.0);
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo);
   EXPECT_EQ(model.rebuilds(), 0);
 
   model.prepare(0.0);
@@ -144,7 +144,7 @@ TEST(LinkModel, CustomBackendDrivesFloodEngine) {
 TEST(LinkModel, OwningAndSeamConstructorsAgree) {
   Topology topo = make_office18_topology();
   InterferenceField field;
-  CachedLinkModel model(topo);
+  SparseLinkModel model(topo);
 
   flood::GlossyFlood via_seam(model, field);
   flood::GlossyFlood owning(topo, field);

@@ -1,19 +1,20 @@
 // SparseLinkModel unit + property suite (DESIGN.md §13).
 //
-// Three contracts are pinned here: (a) with culling disabled every CSR row is
-// full, holds the per-link expression's exact bits, and is the row-major
-// matrix prepare() returns, (b) with culling enabled the model drops exactly
-// the links below the configured floor — survivors keep their unculled
-// bits — and (c) the culled power any
-// listener could lose is provably bounded: each culled link sits below the
-// floor, so the per-listener sum is below floor_mw * fan-in, which a
-// Config::bounded_influence margin keeps under the noise floor itself.
+// Two contracts are pinned here: (a) over a topology that keeps every link
+// every CSR row is full, holds the per-link expression's exact bits, and is
+// the row-major matrix prepare() returns, and (b) over any topology the
+// model stores exactly the links the topology stores — the Topology's gain
+// floor is the one culling decision — each as dbm_to_mw(tx + gain). The
+// bound on the power a culled topology drops lives beside the floor, in
+// tests/phy/test_topology.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "phy/batched.hpp"
 #include "phy/link_model.hpp"
 #include "phy/propagation.hpp"
 #include "phy/topology.hpp"
@@ -23,6 +24,15 @@
 namespace dimmer::phy {
 namespace {
 
+/// `t` rebuilt with a gain floor: the same positions, path loss and
+/// shadowing seed, so every link it keeps has `t`'s bits.
+Topology culled_copy(const Topology& t, double gain_floor_db) {
+  std::vector<Vec2> pos;
+  for (NodeId i = 0; i < t.size(); ++i) pos.push_back(t.position(i));
+  return Topology(std::move(pos), t.path_loss(), t.radio(), t.shadow_seed(),
+                  gain_floor_db);
+}
+
 TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
   for (int which : {0, 1}) {
     Topology topo =
@@ -31,7 +41,7 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
     const int n = topo.size();
     const auto un = static_cast<std::size_t>(n);
 
-    SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+    SparseLinkModel sparse(topo);
 
     for (double power : {0.0, -7.0, 3.0}) {
       SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
@@ -65,19 +75,61 @@ TEST(SparseLinkModel, NoCullingRowsBitwiseMatchDense) {
   }
 }
 
+TEST(SparseLinkModel, StoresExactlyTheTopologysLinks) {
+  // Culled or not, the model's rows are the topology's gain rows: the same
+  // listener ids, and per link the bits of dbm_to_mw(tx + gain) through the
+  // batch kernel, which is std::pow on the scalar backend.
+  const RadioConstants radio;
+  const double floor_db = gain_cull_floor_db(radio, 20.0);
+  EXPECT_EQ(floor_db, radio.noise_floor_dbm - 20.0);
+  const Topology full = make_campus_topology(300, 4);
+  const Topology culled = make_campus_topology_culled(300, 4, floor_db);
+  ASSERT_TRUE(full.gains().full_rows());
+  ASSERT_LT(culled.gain_nnz(), full.gain_nnz());
+  for (const Topology* topo : {&full, &culled}) {
+    SCOPED_TRACE(topo == &full ? "unculled" : "culled");
+    SparseLinkModel model(*topo);
+    for (double power : {0.0, -7.0}) {
+      SCOPED_TRACE("tx_power_dbm " + std::to_string(power));
+      const SparseLinkView* view = model.prepare_sparse(power);
+      const LinkCsr& gains = topo->gains();
+      EXPECT_EQ(view->row_ptr, gains.row_ptr);
+      EXPECT_EQ(view->col, gains.col);
+      ASSERT_EQ(view->val.size(), gains.val.size());
+      EXPECT_EQ(view->full_rows(), topo == &full);
+      for (std::size_t k = 0; k < gains.val.size(); ++k) {
+        // One link per kernel call: its bits must not depend on which
+        // links share its batch.
+        const double dbm = power + gains.val[k];
+        double want = 0.0;
+        dbm_to_mw_batch(&dbm, &want, 1);
+        if (util::simd::native_width == 1) {
+          ASSERT_EQ(want, dbm_to_mw(dbm));
+        }
+        ASSERT_EQ(view->val[k], want) << "entry " << k;
+        ASSERT_GT(view->val[k], 0.0);
+      }
+    }
+  }
+}
+
 TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
-  // A 64-node line at 12 m pitch spans 756 m — far beyond the default
-  // margin's reach — so the default config culls most pairs.
-  Topology topo = make_line_topology(64, 12.0);
+  // A 64-node line at 12 m pitch spans 756 m — far beyond a 20 dB margin's
+  // reach — so the topology's gain floor culls most pairs. At the default
+  // TX power the link model over it keeps exactly the links whose rx power
+  // reaches noise - 20 dB, each with the unculled model's bits.
+  const Topology full = make_line_topology(64, 12.0);
+  const double margin_db = 20.0;
+  const Topology topo =
+      culled_copy(full, gain_cull_floor_db(full.radio(), margin_db));
   const int n = topo.size();
   SparseLinkModel sparse(topo);
-  CachedLinkModel dense(topo);
+  SparseLinkModel dense(full);
 
-  const double power = 0.0;
+  const double power = full.radio().default_tx_power_dbm;
   const SparseLinkView* view = sparse.prepare_sparse(power);
   LinkMatrixView want = dense.prepare(power);
-  const double floor_dbm = sparse.cull_floor_dbm();
-  EXPECT_EQ(floor_dbm, topo.radio().noise_floor_dbm - 20.0);
+  const double floor_dbm = full.radio().noise_floor_dbm - margin_db;
 
   ASSERT_LT(sparse.nnz(), static_cast<std::size_t>(n) * n / 4);
   ASSERT_GT(sparse.nnz(), 0u);
@@ -88,7 +140,7 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
     NodeId prev = -1;
     for (NodeId rx = 0; rx < n; ++rx) {
       const bool kept = k < row.size && row.col[k] == rx;
-      if (topo.rx_power_dbm(tx, rx, power) >= floor_dbm) {
+      if (full.rx_power_dbm(tx, rx, power) >= floor_dbm) {
         ASSERT_TRUE(kept) << "survivor culled: tx " << tx << " rx " << rx;
         EXPECT_GT(row.col[k], prev);  // ascending within the row
         EXPECT_GT(row.val[k], 0.0);
@@ -103,56 +155,10 @@ TEST(SparseLinkModel, CullingDropsExactlySubFloorLinks) {
   }
 }
 
-TEST(SparseLinkModel, CulledPowerIsBoundedBelowNoiseFloor) {
-  // The property behind bounded_influence: with margin >= headroom +
-  // 10*log10(n-1), the total mW a listener loses to culling — even if all
-  // n-1 other nodes transmitted at once — stays at least `headroom` dB
-  // under the noise floor's own contribution to SINR.
-  const double headroom_db = 10.0;
-  for (int which : {0, 1}) {
-    Topology topo =
-        which == 0 ? make_line_topology(256, 12.0) : make_dcube48_topology();
-    SCOPED_TRACE(which == 0 ? "line256" : "dcube48");
-    const int n = topo.size();
-    SparseLinkModel sparse(
-        topo, SparseLinkModel::Config::bounded_influence(n, headroom_db));
-    CachedLinkModel dense(topo);
-
-    const double power = 0.0;
-    const SparseLinkView* view = sparse.prepare_sparse(power);
-    LinkMatrixView full = dense.prepare(power);
-    const double floor_mw = dbm_to_mw(sparse.cull_floor_dbm());
-    const double noise_mw = dbm_to_mw(topo.radio().noise_floor_dbm);
-
-    // The analytic bound itself: worst-case summed culled power < noise/10.
-    ASSERT_LE(floor_mw * (n - 1),
-              noise_mw * std::pow(10.0, -headroom_db / 10.0) * (1 + 1e-12));
-
-    std::vector<double> culled_sum(static_cast<std::size_t>(n), 0.0);
-    for (NodeId tx = 0; tx < n; ++tx) {
-      const LinkCsr::Row row = view->row(tx);
-      std::size_t k = 0;
-      for (NodeId rx = 0; rx < n; ++rx) {
-        if (k < row.size && row.col[k] == rx) {
-          ++k;  // survivor
-          continue;
-        }
-        const double lost = full.row(tx)[rx];
-        EXPECT_LT(lost, floor_mw);  // every culled link sits below the floor
-        culled_sum[static_cast<std::size_t>(rx)] += lost;
-      }
-    }
-    for (NodeId rx = 0; rx < n; ++rx) {
-      EXPECT_LE(culled_sum[static_cast<std::size_t>(rx)],
-                floor_mw * (n - 1) * (1 + 1e-12));
-      EXPECT_LT(culled_sum[static_cast<std::size_t>(rx)], noise_mw);
-    }
-  }
-}
-
 TEST(SparseLinkModel, PrepareRequiresFullRows) {
   // The row-major matrix view exists only when no link was culled.
-  Topology topo = make_line_topology(48, 12.0);
+  Topology topo = culled_copy(make_line_topology(48, 12.0),
+                              gain_cull_floor_db(RadioConstants{}, 20.0));
   SparseLinkModel sparse(topo);
   EXPECT_FALSE(sparse.prepare_sparse(0.0)->full_rows());
   EXPECT_THROW((void)sparse.prepare(0.0), util::RequireError);
@@ -160,7 +166,7 @@ TEST(SparseLinkModel, PrepareRequiresFullRows) {
 
 TEST(SparseLinkModel, CachesByPreparedPower) {
   Topology topo = make_office18_topology();
-  SparseLinkModel sparse(topo, SparseLinkModel::Config::no_culling());
+  SparseLinkModel sparse(topo);
   EXPECT_EQ(sparse.rebuilds(), 0);
   (void)sparse.prepare_sparse(0.0);
   (void)sparse.prepare_sparse(0.0);
@@ -185,34 +191,11 @@ TEST(SparseLinkModel, RejectsNonFinitePowerWithoutRebuilding) {
   EXPECT_EQ(sparse.rebuilds(), 0);
 }
 
-TEST(SparseLinkModel, RejectsNonPositiveCullMargin) {
-  Topology topo = make_office18_topology();
-  SparseLinkModel::Config cfg;
-  cfg.cull_margin_db = 0.0;
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-  cfg.cull_margin_db = -5.0;
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-  cfg.cull_margin_db = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(SparseLinkModel(topo, cfg), util::RequireError);
-}
-
-TEST(SparseLinkModel, BoundedInfluenceMarginGrowsWithScale) {
-  const double m48 = SparseLinkModel::Config::bounded_influence(48).cull_margin_db;
-  const double m2048 =
-      SparseLinkModel::Config::bounded_influence(2048).cull_margin_db;
-  EXPECT_NEAR(m48, 10.0 + 10.0 * std::log10(47.0), 1e-12);
-  EXPECT_NEAR(m2048, 10.0 + 10.0 * std::log10(2047.0), 1e-12);
-  EXPECT_GT(m2048, m48);
-  EXPECT_THROW(SparseLinkModel::Config::bounded_influence(1),
-               util::RequireError);
-  EXPECT_THROW(SparseLinkModel::Config::bounded_influence(48, -1.0),
-               util::RequireError);
-}
-
 TEST(SparseLinkModel, StorageScalesWithSurvivorsNotNodes) {
-  // On a long line the CSR holds a thin band around the diagonal; the dense
-  // matrix would hold 8*N^2 bytes regardless.
-  Topology topo = make_line_topology(256, 12.0);
+  // On a long culled line the CSR holds a thin band around the diagonal;
+  // the dense matrix would hold 8*N^2 bytes regardless.
+  Topology topo = culled_copy(make_line_topology(256, 12.0),
+                              gain_cull_floor_db(RadioConstants{}, 20.0));
   const auto un = static_cast<std::size_t>(topo.size());
   SparseLinkModel sparse(topo);
   (void)sparse.prepare_sparse(0.0);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "phy/topology.hpp"
@@ -387,12 +389,74 @@ TEST(CulledTopology, RejectsNanFloor) {
 }
 
 TEST(GainCullFloor, ConsistentWithSparseLinkModelCulling) {
-  RadioConstants radio;
-  // rx_power = tx_power + gain; a link culled at construction must satisfy
-  // rx_power < noise_floor - margin for all tx_power <= max considered.
-  const double floor_db = gain_cull_floor_db(radio, 12.0, 0.0);
-  EXPECT_DOUBLE_EQ(floor_db, radio.noise_floor_dbm - 12.0);
-  EXPECT_LT(gain_cull_floor_db(radio, 12.0, 5.0), floor_db);
+  // rx_power = tx_power + gain. At the default TX power a link the floor
+  // drops at construction is exactly one whose rx power is below
+  // noise_floor - margin, the rx-power floor the link model would apply.
+  const RadioConstants radio;
+  const double margin_db = 12.0;
+  const double floor_db = gain_cull_floor_db(radio, margin_db);
+  EXPECT_DOUBLE_EQ(floor_db, radio.noise_floor_dbm - margin_db);
+  const double rx_floor_dbm = radio.noise_floor_dbm - margin_db;
+  EXPECT_EQ(radio.default_tx_power_dbm + floor_db, rx_floor_dbm);
+
+  const Topology full = make_campus_topology(100, 7);
+  const Topology culled = make_campus_topology_culled(100, 7, floor_db);
+  ASSERT_LT(culled.gain_nnz(), full.gain_nnz());  // the floor bites
+  const double power = radio.default_tx_power_dbm;
+  for (NodeId a = 0; a < full.size(); ++a) {
+    for (NodeId b = 0; b < full.size(); ++b) {
+      const bool stored =
+          culled.gain_db(a, b) != -std::numeric_limits<double>::infinity();
+      EXPECT_EQ(stored, full.rx_power_dbm(a, b, power) >= rx_floor_dbm)
+          << "a " << a << " b " << b;
+    }
+  }
+}
+
+TEST(CulledTopology, CulledPowerIsBoundedBelowNoiseFloor) {
+  // The gain floor is the one culling decision, so this is the bound on
+  // what culling can cost. With margin >= headroom + 10*log10(n-1), the
+  // total mW a listener loses at 0 dBm TX — even if all n-1 other nodes
+  // transmitted at once — stays at least `headroom` dB under the noise
+  // floor's own contribution to SINR: every dropped link sits below
+  // floor_mw, so a listener's sum stays below floor_mw * fan-in.
+  const double headroom_db = 10.0;
+  for (int which : {0, 1}) {
+    const Topology full =
+        which == 0 ? make_line_topology(256, 12.0) : make_dcube48_topology();
+    SCOPED_TRACE(which == 0 ? "line256" : "dcube48");
+    const int n = full.size();
+    const double margin_db =
+        headroom_db + 10.0 * std::log10(static_cast<double>(n - 1));
+    const double floor_db = gain_cull_floor_db(full.radio(), margin_db);
+    std::vector<Vec2> pos;
+    for (NodeId i = 0; i < n; ++i) pos.push_back(full.position(i));
+    const Topology culled(std::move(pos), full.path_loss(), full.radio(),
+                          full.shadow_seed(), floor_db);
+    ASSERT_LT(culled.gain_nnz(), full.gain_nnz());  // the floor bites
+
+    const double floor_mw = dbm_to_mw(floor_db);
+    const double noise_mw = dbm_to_mw(full.radio().noise_floor_dbm);
+    // The analytic bound itself: worst-case summed culled power < noise/10.
+    ASSERT_LE(floor_mw * (n - 1),
+              noise_mw * std::pow(10.0, -headroom_db / 10.0) * (1 + 1e-12));
+
+    std::vector<double> culled_sum(static_cast<std::size_t>(n), 0.0);
+    for (NodeId tx = 0; tx < n; ++tx) {
+      for (NodeId rx = 0; rx < n; ++rx) {
+        if (culled.gain_db(tx, rx) != -std::numeric_limits<double>::infinity())
+          continue;  // stored
+        const double lost = dbm_to_mw(full.rx_power_dbm(tx, rx, 0.0));
+        EXPECT_LT(lost, floor_mw);  // every culled link sits below the floor
+        culled_sum[static_cast<std::size_t>(rx)] += lost;
+      }
+    }
+    for (NodeId rx = 0; rx < n; ++rx) {
+      EXPECT_LE(culled_sum[static_cast<std::size_t>(rx)],
+                floor_mw * (n - 1) * (1 + 1e-12));
+      EXPECT_LT(culled_sum[static_cast<std::size_t>(rx)], noise_mw);
+    }
+  }
 }
 
 TEST(RestrictedTopology, FullMembershipIsBitIdentical) {
